@@ -112,7 +112,9 @@ void BM_SynSearch_ThreadPool(benchmark::State& state) {
     benchmark::DoNotOptimize(seeker.find_one(pair.a, pair.b));
   }
 }
-BENCHMARK(BM_SynSearch_ThreadPool)->Arg(1)->Arg(2)->Arg(4);
+// Wall time, not the main thread's cpu time: the scan runs on the pool's
+// workers, so cpu time would only count the dispatching thread.
+BENCHMARK(BM_SynSearch_ThreadPool)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // Coarse-to-fine search: same result (tested), ~stride x cheaper sweep.
 void BM_SynSearch_CoarseToFine(benchmark::State& state) {

@@ -18,7 +18,7 @@
 // --report-only: a small deterministic service campaign (CityFleet N=24,
 // serial) whose admission/routing/session counters are exact functions of
 // the seed — emits bench_out/service_scaling_metrics.json, replayed by
-// bench_regression.sh pass 9 as the service_metrics section.
+// bench_regression.sh pass 8 as the service_metrics section.
 
 #include <algorithm>
 #include <cmath>

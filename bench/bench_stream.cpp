@@ -112,7 +112,12 @@ int main() {
           std::to_string(r.staleness_quantile(0.99)),
           std::to_string(r.beacons.resyncs),
           std::to_string(r.beacons.rerequests)});
-      const std::string suffix = "." + std::string(mode) + "." + row.name;
+      // Appended piecewise: GCC 12 misreports `"." + std::string` here as
+      // an overlapping memcpy (-Wrestrict).
+      std::string suffix = ".";
+      suffix += mode;
+      suffix += '.';
+      suffix += row.name;
       reg.gauge("streambench.bytes_per_estimate" + suffix)
           .set(r.bytes_per_estimate);
       reg.gauge("streambench.mean_err_m" + suffix).set(r.mean_error());

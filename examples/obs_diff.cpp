@@ -35,7 +35,7 @@ struct Options {
   double counter_tol = 0.25;    // two-sided relative
   double gauge_tol = 0.25;      // two-sided, relative with abs floor 1.0
   double mean_tol = 0.50;       // one-sided on histogram means
-  double bench_tol = 0.50;      // one-sided on benchmark cpu times
+  double bench_tol = 0.50;      // one-sided on benchmark times
   double label_tol = -1.0;      // family cells ("name{...}"); <0 = inherit
   double series_tol = 0.25;     // series columns, per-column mean
   double series_timing_tol = 1.0;  // one-sided, p50/p95/p99 series columns
@@ -90,8 +90,9 @@ void print_help() {
       "                      smaller is better)\n"
       "  --mean-tol F        one-sided tolerance for histogram-mean\n"
       "                      regressions (default 0.5)\n"
-      "  --bench-tol F       one-sided tolerance for benchmark cpu-time\n"
-      "                      regressions (default 0.5)\n"
+      "  --bench-tol F       one-sided tolerance for benchmark time\n"
+      "                      regressions: real (wall) time where an entry\n"
+      "                      has it, cpu time otherwise (default 0.5)\n"
       "  --label-tol F       tolerance override for labeled family cells\n"
       "                      (names like \"family{key=\\\"v\\\"}\"); default:\n"
       "                      inherit the per-kind tolerance\n"
@@ -221,8 +222,24 @@ std::map<std::string, double> series_columns(const JsonValue* series) {
   return out;
 }
 
-/// Benchmark cpu time in ns: committed baselines store cpu_time_ns,
-/// google-benchmark stores cpu_time + time_unit.
+/// One benchmark entry's time in ns, or NaN when it has no `field`:
+/// committed baselines store <field>_ns, google-benchmark stores <field> +
+/// time_unit.
+double entry_time_ns(const JsonValue& entry, const std::string& field) {
+  const double ns = entry.number_or(field + "_ns", std::nan(""));
+  if (!std::isnan(ns)) return ns;
+  const double t = entry.number_or(field, std::nan(""));
+  if (std::isnan(t)) return t;
+  const std::string unit = entry.string_or("time_unit", "ns");
+  double scale = 1.0;
+  if (unit == "us") scale = 1e3;
+  else if (unit == "ms") scale = 1e6;
+  else if (unit == "s") scale = 1e9;
+  return t * scale;
+}
+
+/// Benchmark times in ns: real (wall) time where the entry has it — pooled
+/// benchmarks spend their cpu time on worker threads — else cpu time.
 std::map<std::string, double> benchmark_times(const JsonValue& doc) {
   std::map<std::string, double> out;
   const JsonValue* arr = doc.find("benchmarks");
@@ -230,18 +247,18 @@ std::map<std::string, double> benchmark_times(const JsonValue& doc) {
   for (const JsonValue& entry : arr->as_array()) {
     const JsonValue* name = entry.find("name");
     if (name == nullptr || !name->is_string()) continue;
-    double ns = entry.number_or("cpu_time_ns", std::nan(""));
-    if (std::isnan(ns)) {
-      const double t = entry.number_or("cpu_time", std::nan(""));
-      if (std::isnan(t)) continue;
-      const std::string unit = entry.string_or("time_unit", "ns");
-      double scale = 1.0;
-      if (unit == "us") scale = 1e3;
-      else if (unit == "ms") scale = 1e6;
-      else if (unit == "s") scale = 1e9;
-      ns = t * scale;
+    double ns = entry_time_ns(entry, "real_time");
+    if (std::isnan(ns)) ns = entry_time_ns(entry, "cpu_time");
+    if (std::isnan(ns)) continue;
+    // UseRealTime() benchmarks carry a "/real_time" name suffix; key them
+    // by the base name so a baseline taken before the switch still pairs.
+    std::string key = name->as_string();
+    const std::string suffix = "/real_time";
+    if (key.size() > suffix.size() &&
+        key.compare(key.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      key.resize(key.size() - suffix.size());
     }
-    out[name->as_string()] = ns;
+    out[key] = ns;
   }
   return out;
 }

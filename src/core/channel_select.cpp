@@ -19,24 +19,31 @@ void select_top_channels_into(const ContextTrajectory& trajectory,
   const std::size_t len = end - window_start;
   const std::size_t channels = trajectory.channels();
 
+  // Accumulate metre by metre (each power vector is contiguous); every
+  // channel's sum still runs over the window metres in order.
   std::vector<ChannelRank>& ranks = scratch.ranks;
-  ranks.clear();
-  ranks.reserve(channels);
-  for (std::size_t c = 0; c < channels; ++c) {
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = window_start; i < end; ++i) {
-      const PowerVector& pv = trajectory.power(i);
+  std::vector<std::size_t>& usable = scratch.usable;
+  ranks.assign(channels, ChannelRank{0, 0.0});
+  usable.assign(channels, 0);
+  for (std::size_t i = window_start; i < end; ++i) {
+    const PowerVector& pv = trajectory.power(i);
+    for (std::size_t c = 0; c < channels; ++c) {
       if (pv.usable(c)) {
-        sum += pv.at(c);
-        ++n;
+        ranks[c].mean += pv.at(c);
+        ++usable[c];
       }
     }
+  }
+  // Keep the coverage-qualified channels, in channel order, as means.
+  std::size_t kept = 0;
+  for (std::size_t c = 0; c < channels; ++c) {
+    const std::size_t n = usable[c];
     if (static_cast<double>(n) < min_coverage * static_cast<double>(len)) {
       continue;
     }
-    ranks.push_back({c, sum / static_cast<double>(n)});
+    ranks[kept++] = {c, ranks[c].mean / static_cast<double>(n)};
   }
+  ranks.resize(kept);
   const std::size_t take = std::min(k, ranks.size());
   std::partial_sort(ranks.begin(), ranks.begin() + static_cast<long>(take),
                     ranks.end(), [](const ChannelRank& a, const ChannelRank& b) {

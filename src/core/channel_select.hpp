@@ -18,6 +18,7 @@ struct ChannelRank {
 /// trajectory's channel count.
 struct ChannelSelectScratch {
   std::vector<ChannelRank> ranks;
+  std::vector<std::size_t> usable;  ///< per-channel usable-metre counts
 };
 
 /// Select the `k` strongest channels over a window of a trajectory —

@@ -118,12 +118,13 @@ double trajectory_correlation(const WindowRef& a, const WindowRef& b,
     const double vx = s.sxx - s.sx * s.sx / s.n;
     const double vy = s.syy - s.sy * s.sy / s.n;
     const double cov = s.sxy - s.sx * s.sy / s.n;
-    // Same variance guard and clamp as the packed float kernel: a
+    // Same variance guard and clamp as the int16 scan kernel: a
     // (near-)constant channel carries no alignment information and residues
     // below ~1e-2 dB^2 are rounding noise, so the channel counts with zero
     // correlation; the clamp bounds cancellation-induced excursions so the
     // per-channel term stays a true Pearson coefficient. Keeping reference
-    // and kernel semantics identical means they agree to float precision.
+    // and kernel semantics identical means they agree within the kernel's
+    // quantization bound (DESIGN §15).
     if (vx > 1e-2 && vy > 1e-2) {
       channel_corr_sum += std::clamp(cov / std::sqrt(vx * vy), -1.0, 1.0);
     }

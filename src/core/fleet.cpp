@@ -52,7 +52,6 @@ void FleetEngine::forget(std::uint64_t id) { shards_.erase(id); }
 void FleetEngine::clear() {
   shards_.clear();
   ego_pack_.clear();
-  ego_qpack_.clear();
 }
 
 SynCache::Stats FleetEngine::cache_stats() const noexcept {
@@ -95,15 +94,6 @@ void FleetEngine::estimate_batch_into(
   // whole batch; per-id shards are materialized up front because the map
   // must not be mutated from worker threads.
   ego_pack_.sync(ego, config_.cache.volatile_suffix_m);
-  const KernelPrecision prec = config_.rups.syn.precision;
-  const QuantizedPack* ego_q = nullptr;
-  if (prec != KernelPrecision::kFloat32) {
-    ego_qpack_.sync(ego_pack_,
-                    prec == KernelPrecision::kInt8 ? QuantBits::kInt8
-                                                   : QuantBits::kInt16,
-                    config_.cache.volatile_suffix_m);
-    ego_q = &ego_qpack_;
-  }
   for (std::size_t i = 0; i < ids.size(); ++i) {
     auto [it, inserted] = shards_.try_emplace(ids[i]);
     if (inserted) {
@@ -133,7 +123,7 @@ void FleetEngine::estimate_batch_into(
     obs::ObsTimer task_timer(&m.task_us, "fleet.task", batch_span);
     SynCache& shard = *shards_.find(ids[i])->second;
     NeighbourResult& r = results[i];
-    shard.find_into(ego, *neighbours[i], &ego_pack_, ego_q, r.syn_points);
+    shard.find_into(ego, *neighbours[i], &ego_pack_, r.syn_points);
     r.estimate = aggregate_estimates(ego, *neighbours[i], r.syn_points,
                                      config_.rups.aggregation);
     task_timer.stop();

@@ -90,9 +90,6 @@ class FleetEngine {
  private:
   FleetConfig config_;
   PackedContext ego_pack_;
-  /// Quantized mirror of ego_pack_, synced once per batch and shared
-  /// read-only by every shard — only when rups.syn.precision != kFloat32.
-  QuantizedPack ego_qpack_;
   std::map<std::uint64_t, std::unique_ptr<SynCache>> shards_;
 };
 

@@ -3,17 +3,96 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
-// NOTE: this translation unit is compiled WITHOUT value-changing FP options
-// (no -ffast-math; -ffp-contract=off — see src/core/CMakeLists.txt), so the
-// lane kernel below evaluates IEEE source-order semantics exactly. That is
-// what upgrades the repo's determinism invariant from "single TU, same
-// flags" (bit-identity by compiler accident) to a language-level guarantee:
-// every lane accumulates its moment sums over the window metres in source
-// order, independent of the block width or how the compiler vectorizes
-// ACROSS lanes. Speed comes from batching lags, not from reassociation.
+#include "obs/metrics.hpp"
 
 namespace rups::core {
+
+namespace {
+
+constexpr float kNoLo = std::numeric_limits<float>::infinity();
+constexpr float kNoHi = -std::numeric_limits<float>::infinity();
+
+/// Order-preserving map of a float's bits onto int32 (for non-NaN values),
+/// so the range scan is an integer min/max reduction that vectorizes
+/// without relaxing FP semantics.
+inline std::int32_t order_key(std::int32_t bits) noexcept {
+  return bits ^ ((bits >> 31) & 0x7fffffff);
+}
+
+inline float from_order_key(std::int32_t k) noexcept {
+  const std::int32_t b = k ^ ((k >> 31) & 0x7fffffff);
+  float x;
+  std::memcpy(&x, &b, sizeof(x));
+  return x;
+}
+
+inline std::int32_t float_bits(float x) noexcept {
+  std::int32_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+/// Usable and finite, tested on the value's bits (an all-ones exponent is
+/// ±inf or NaN) so both packing loops vectorize.
+inline bool usable_value(std::uint8_t state, float x) noexcept {
+  return (state != 0) & ((float_bits(x) & 0x7f800000) != 0x7f800000);
+}
+
+/// One cell onto the grid. Branch-free so the contiguous packing loop
+/// vectorizes: a masked cell quantizes a dummy 0 dBm and is selected away.
+/// The grid covers every live value, so the clamp only absorbs the last ulp
+/// (and masked cells); rounds half up by truncating a positive number.
+inline void quantize_cell(float x, std::uint8_t state, double offset,
+                          double inv_step, std::int16_t& q,
+                          std::int16_t& v) noexcept {
+  constexpr double kMax = kQuantMax;
+  const bool ok = usable_value(state, x);
+  const double d = (static_cast<double>(ok ? x : 0.0f) - offset) * inv_step;
+  const double dc = std::min(std::max(d, -kMax), kMax);
+  const int qi = static_cast<int>(dc + (kMax + 1.5)) - (kQuantMax + 1);
+  q = static_cast<std::int16_t>(ok ? qi : 0);
+  v = static_cast<std::int16_t>(ok);
+}
+
+/// Pack-work accounting: columns (re)quantized across every PackedContext,
+/// the "bytes packed" work counter of the layer budget.
+obs::Counter& columns_packed_counter() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("syn.columns_packed");
+  return c;
+}
+
+/// The grid a pack whose valid values span [lo, hi] dBm uses. Steps come
+/// from the ladder {1, 1.25, 1.5, 1.75} x 2^e and the offset is the range
+/// midpoint snapped to a power-of-two lattice of 128-256 steps, so the grid
+/// only moves when the range crosses a rung or the midpoint crosses a
+/// lattice point; the smallest rung whose grid covers [lo, hi] wins. An
+/// empty range (lo > hi) maps to the default params.
+QuantParams grid_for_range(double lo, double hi) noexcept {
+  if (!(lo <= hi)) return {};
+  // Halve before combining so ranges near the float limits cannot overflow.
+  const double mid = 0.5 * lo + 0.5 * hi;
+  const double half = 0.5 * hi - 0.5 * lo;
+  constexpr double kRungs[] = {1.0, 1.25, 1.5, 1.75};
+  // Start one octave below the first rung that could cover `half`; steps
+  // finer than 2^-20 dB carry no information.
+  int e = std::max(-20, std::ilogb(std::max(half, 1e-9) / kQuantMax) - 1);
+  for (;; ++e) {
+    const double lattice = std::ldexp(1.0, e + 8);
+    // floor(x + 0.5), not round-half-even: an exact whole-lattice shift of
+    // the range then shifts the offset by exactly the same amount.
+    const double offset = std::floor(mid / lattice + 0.5) * lattice;
+    for (const double rung : kRungs) {
+      const double step = std::ldexp(rung, e);
+      const double reach = kQuantMax * step;
+      if (hi - offset <= reach && offset - lo <= reach) return {offset, step};
+    }
+  }
+}
+
+}  // namespace
 
 std::size_t PackedContext::sync(const ContextTrajectory& t,
                                 std::size_t volatile_suffix_m) {
@@ -28,361 +107,172 @@ std::size_t PackedContext::sync(const ContextTrajectory& t,
 
   // Incremental only when the trajectory is the packed range plus front
   // evictions and/or appended metres; anything else (width change, rebase,
-  // shrink, gap) falls back to a full repack.
-  const bool incremental = metres_ != 0 && channels_ == t.channels() &&
+  // shrink, gap, a row-subset pack) falls back to a full repack.
+  const bool incremental = metres_ != 0 && !partial_ &&
+                           channels_ == t.channels() &&
                            t_first >= first_metre_ && t_first <= packed_end &&
                            t_end >= packed_end && t.size() <= stride_;
+  std::size_t keep = 0;
   if (!incremental) {
-    channels_ = t.channels();
-    // Slack so eviction-driven compaction is amortized across appends.
-    const std::size_t want = std::max(t.capacity_m(), t.size());
-    stride_ = want + std::max<std::size_t>(64, want / 4);
-    x_.assign(channels_ * stride_, 0.0f);
-    x2_.assign(channels_ * stride_, 0.0f);
-    v_.assign(channels_ * stride_, 0.0f);
-    base_ = 0;
+    reset(t);
+  } else {
+    // Front eviction: advance the view base, no data movement.
+    const auto evicted = static_cast<std::size_t>(t_first - first_metre_);
+    base_ += evicted;
+    metres_ -= evicted;
     first_metre_ = t_first;
+    if (base_ + t.size() > stride_) compact();
+    // Re-pack the trailing volatile region too — the binder retro-fills
+    // interpolated channels behind the newest metre, so recently packed
+    // columns may be stale.
+    keep = metres_ > volatile_suffix_m ? metres_ - volatile_suffix_m : 0;
     metres_ = t.size();
-    for (std::size_t i = 0; i < metres_; ++i) pack_column(t, i);
-    return metres_;
   }
 
-  // Front eviction: advance the view base, no data movement.
-  const auto evicted = static_cast<std::size_t>(t_first - first_metre_);
-  base_ += evicted;
-  metres_ -= evicted;
-  first_metre_ = t_first;
-
-  if (base_ + t.size() > stride_) compact();
-
-  // Append the new columns plus the trailing volatile region — the binder
-  // retro-fills interpolated channels behind the newest metre, so recently
-  // packed columns may be stale.
-  const std::size_t keep =
-      metres_ > volatile_suffix_m ? metres_ - volatile_suffix_m : 0;
-  metres_ = t.size();
-  for (std::size_t i = keep; i < metres_; ++i) pack_column(t, i);
+  // Ranges first: the grid is a function of every live value, so it is
+  // known before any value is quantized onto it.
+  for (std::size_t i = keep; i < metres_; ++i) record_range(t, i);
+  const QuantParams grid = live_grid();
+  if (!(grid == params_)) {
+    params_ = grid;
+    keep = 0;
+  }
+  quantize(t, keep, {});
+  columns_packed_counter().inc(metres_ - keep);
   return metres_ - keep;
+}
+
+void PackedContext::pack_rows(const ContextTrajectory& t,
+                              std::span<const std::size_t> rows) {
+  reset(t);
+  partial_ = true;
+  for (std::size_t i = 0; i < metres_; ++i) record_range(t, i);
+  params_ = live_grid();
+  quantize(t, 0, rows);
+  columns_packed_counter().inc(metres_);
+}
+
+void PackedContext::reset(const ContextTrajectory& t) {
+  channels_ = t.channels();
+  // Slack so eviction-driven compaction is amortized across appends.
+  const std::size_t want = std::max(t.capacity_m(), t.size());
+  stride_ = want + std::max<std::size_t>(64, want / 4);
+  if (channels_ * stride_ > cells_) {
+    cells_ = channels_ * stride_;
+    q_.reset(new std::int16_t[cells_]);
+    v_.reset(new std::int16_t[cells_]);
+  }
+  lo_.assign(stride_, kNoLo);
+  hi_.assign(stride_, kNoHi);
+  base_ = 0;
+  first_metre_ = t.empty() ? 0 : t.first_metre();
+  metres_ = t.size();
+  partial_ = false;
 }
 
 void PackedContext::compact() noexcept {
   if (base_ == 0) return;
-  const std::size_t bytes = metres_ * sizeof(float);
+  const std::size_t bytes = metres_ * sizeof(std::int16_t);
   for (std::size_t c = 0; c < channels_; ++c) {
-    std::memmove(x_.data() + c * stride_, x_.data() + c * stride_ + base_,
+    std::memmove(q_.get() + c * stride_, q_.get() + c * stride_ + base_,
                  bytes);
-    std::memmove(x2_.data() + c * stride_, x2_.data() + c * stride_ + base_,
-                 bytes);
-    std::memmove(v_.data() + c * stride_, v_.data() + c * stride_ + base_,
+    std::memmove(v_.get() + c * stride_, v_.get() + c * stride_ + base_,
                  bytes);
   }
+  std::memmove(lo_.data(), lo_.data() + base_, metres_ * sizeof(float));
+  std::memmove(hi_.data(), hi_.data() + base_, metres_ * sizeof(float));
   base_ = 0;
 }
 
-void PackedContext::pack_column(const ContextTrajectory& t, std::size_t index) {
-  const std::size_t col = base_ + index;
+void PackedContext::record_range(const ContextTrajectory& t,
+                                 std::size_t index) {
   const PowerVector& pv = t.power(index);
-  const std::size_t width = pv.channels();
-  for (std::size_t c = 0; c < channels_; ++c) {
-    float val = 0.0f;
-    float sq = 0.0f;
-    float mask = 0.0f;
-    if (c < width && pv.usable(c)) {
-      val = pv.at(c) + kPackShiftDbm;
-      sq = val * val;
-      mask = 1.0f;
-    }
-    x_[c * stride_ + col] = val;
-    x2_[c * stride_ + col] = sq;
-    v_[c * stride_ + col] = mask;
+  const std::size_t width = std::min(pv.channels(), channels_);
+  const float* x = pv.values();
+  const std::uint8_t* st = pv.states();
+  const std::int32_t none_lo = order_key(float_bits(kNoLo));
+  const std::int32_t none_hi = order_key(float_bits(kNoHi));
+  std::int32_t lo = none_lo;
+  std::int32_t hi = none_hi;
+  for (std::size_t c = 0; c < width; ++c) {
+    // The usable mask applied as all-ones/zero lanes, so the reduction
+    // vectorizes.
+    const std::int32_t ok =
+        -static_cast<std::int32_t>(usable_value(st[c], x[c]));
+    const std::int32_t k = order_key(float_bits(x[c]));
+    lo = std::min(lo, (k & ok) | (none_lo & ~ok));
+    hi = std::max(hi, (k & ok) | (none_hi & ~ok));
   }
+  lo_[base_ + index] = from_order_key(lo);
+  hi_[base_ + index] = from_order_key(hi);
 }
 
-SubsetPack::SubsetPack(const ContextTrajectory& t,
-                       std::span<const std::size_t> channels, std::size_t from,
-                       std::size_t len)
-    : metres_(len), k_(channels.size()) {
-  x_.assign(k_ * len, 0.0f);
-  x2_.assign(k_ * len, 0.0f);
-  v_.assign(k_ * len, 0.0f);
-  const std::size_t width = t.channels();
-  for (std::size_t i = 0; i < len; ++i) {
-    const PowerVector& pv = t.power(from + i);
-    for (std::size_t kk = 0; kk < k_; ++kk) {
-      const std::size_t c = channels[kk];
-      if (c < width && pv.usable(c)) {
-        const float val = pv.at(c) + kPackShiftDbm;
-        x_[kk * len + i] = val;
-        x2_[kk * len + i] = val * val;
-        v_[kk * len + i] = 1.0f;
-      }
-    }
+QuantParams PackedContext::live_grid() const noexcept {
+  float lo = kNoLo;
+  float hi = kNoHi;
+  for (std::size_t i = base_; i < base_ + metres_; ++i) {
+    lo = std::min(lo, lo_[i]);
+    hi = std::max(hi, hi_[i]);
   }
+  return grid_for_range(lo, hi);
 }
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Lane kernel. lag_block_body<B> scores the B sliding positions
-//   pos0, pos0 + step, ..., pos0 + (B-1)*step     (in metres)
-// in one traversal of the checking window. The outer loop runs over window
-// metres i; fixed-row values fv[i]/fx[i]/fx2[i] are loaded once per metre
-// and broadcast; the B sliding-side loads sx_[i + b*step] are contiguous
-// across the block when step == 1 (SIMD lanes across lags). Each lane's six
-// float moment sums accumulate over i in source order, which is the SAME
-// order the historical per-position kernel used — so every lane is
-// bit-identical to a single-position call regardless of B, step, or target
-// ISA (the TU is compiled without value-changing FP options).
-//
-// step == 0 is the degenerate single-position block (all lanes score pos0;
-// lane 0 is the answer) — packed_correlation() routes through it so there
-// is exactly ONE compiled accumulation loop in the whole system.
-//
-// The per-channel epilogue is branchless on purpose: every lane computes
-// the variance/covariance reduction with a safe denominator (dn = 1 when
-// the lane's overlap is below min_channel_overlap) and then SELECTS either
-// the real contribution or 0.0 / +0. Adding a selected +0.0 to a lane's
-// running double sums cannot change their bits (the sums are never -0.0:
-// they start at +0.0 and x + (-0.0) == x for any x != -0.0), so an
-// excluded lane's sums stay bit-equal to the scalar path that skipped the
-// channel with `continue`. A lane whose guard fails may compute NaN/Inf in
-// `r`; the select discards it before it can touch an accumulator.
-// ---------------------------------------------------------------------------
-template <int B>
-[[gnu::always_inline]] inline void lag_block_body(
-    const PackedView& fixed, std::size_t fixed_start, const PackedView& sliding,
-    std::size_t pos0, std::size_t step, std::size_t window,
-    const TrajectoryCorrelationConfig& config, double* out) {
-  double channel_corr_sum[B] = {};
-  std::size_t channels_used[B] = {};
-  double pn[B] = {}, psx[B] = {}, psy[B] = {}, psxx[B] = {}, psyy[B] = {},
-         psxy[B] = {};
-  const float min_overlap = static_cast<float>(config.min_channel_overlap);
-
-  const std::size_t k = std::min(fixed.rows.size(), sliding.rows.size());
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const std::size_t fc = fixed.rows[kk];
-    const std::size_t sc = sliding.rows[kk];
-    // A channel outside either pack contributes nothing (an all-masked row
-    // would be skipped by min_channel_overlap below anyway).
-    if (fc >= fixed.span.channels || sc >= sliding.span.channels) continue;
-    const float* fx = fixed.span.x + fc * fixed.span.stride + fixed_start;
-    const float* fx2 = fixed.span.x2 + fc * fixed.span.stride + fixed_start;
-    const float* fv = fixed.span.v + fc * fixed.span.stride + fixed_start;
-    const float* sx_ = sliding.span.x + sc * sliding.span.stride + pos0;
-    const float* sx2_ = sliding.span.x2 + sc * sliding.span.stride + pos0;
-    const float* sv_ = sliding.span.v + sc * sliding.span.stride + pos0;
-
-    float n[B] = {}, sx[B] = {}, sy[B] = {}, sxx[B] = {}, syy[B] = {},
-          sxy[B] = {};
-    if (step == 1) {
-      // Contiguous lanes: per metre i the block reads sliding columns
-      // [i, i+B) — one unaligned vector load per stream.
-      for (std::size_t i = 0; i < window; ++i) {
-        const float fvi = fv[i];
-        const float fxi = fx[i];
-        const float fx2i = fx2[i];
-        for (int b = 0; b < B; ++b) {
-          const std::size_t j = i + static_cast<std::size_t>(b);
-          const float m = fvi * sv_[j];
-          n[b] += m;
-          sx[b] += m * fxi;
-          sy[b] += m * sx_[j];
-          sxx[b] += m * fx2i;
-          syy[b] += m * sx2_[j];
-          sxy[b] += m * fxi * sx_[j];
+void PackedContext::quantize(const ContextTrajectory& t, std::size_t from,
+                             std::span<const std::size_t> rows) {
+  // Quantize column by column (each PowerVector is contiguous) into a
+  // column-major tile, then write every channel row's slice of the tile
+  // contiguously. Writing the channel-major pack one column at a time
+  // would touch a different page per channel for every metre.
+  constexpr std::size_t kCols = 32;   // one 64 B line of int16 per row
+  constexpr std::size_t kRows = 128;  // rows per pass: 16 KB of tiles
+  alignas(64) std::int16_t q_tile[kCols][kRows];
+  alignas(64) std::int16_t v_tile[kCols][kRows];
+  const double offset = params_.offset;
+  const double inv_step = 1.0 / params_.step;
+  const bool all = rows.empty();
+  const std::size_t n_rows = all ? channels_ : rows.size();
+  const auto channel = [&](std::size_t r) { return all ? r : rows[r]; };
+  for (std::size_t i0 = from; i0 < metres_; i0 += kCols) {
+    const std::size_t cols = std::min(kCols, metres_ - i0);
+    for (std::size_t r0 = 0; r0 < n_rows; r0 += kRows) {
+      const std::size_t n = std::min(kRows, n_rows - r0);
+      for (std::size_t j = 0; j < cols; ++j) {
+        const PowerVector& pv = t.power(i0 + j);
+        const std::size_t width = std::min(pv.channels(), channels_);
+        const float* x = pv.values();
+        const std::uint8_t* st = pv.states();
+        std::int16_t* q = q_tile[j];
+        std::int16_t* v = v_tile[j];
+        if (all) {
+          // Contiguous channels: this loop vectorizes.
+          const std::size_t live = width > r0 ? std::min(n, width - r0) : 0;
+          for (std::size_t r = 0; r < live; ++r) {
+            quantize_cell(x[r0 + r], st[r0 + r], offset, inv_step, q[r],
+                          v[r]);
+          }
+          std::fill(q + live, q + n, std::int16_t{0});
+          std::fill(v + live, v + n, std::int16_t{0});
+        } else {
+          for (std::size_t r = 0; r < n; ++r) {
+            const std::size_t c = rows[r0 + r];
+            q[r] = v[r] = 0;
+            if (c < width) {
+              quantize_cell(x[c], st[c], offset, inv_step, q[r], v[r]);
+            }
+          }
         }
       }
-    } else {
-      // Strided (coarse-scan) or degenerate (step == 0) lanes: gathered
-      // loads, same per-lane arithmetic and order.
-      for (std::size_t i = 0; i < window; ++i) {
-        const float fvi = fv[i];
-        const float fxi = fx[i];
-        const float fx2i = fx2[i];
-        for (int b = 0; b < B; ++b) {
-          const std::size_t j = i + static_cast<std::size_t>(b) * step;
-          const float m = fvi * sv_[j];
-          n[b] += m;
-          sx[b] += m * fxi;
-          sy[b] += m * sx_[j];
-          sxx[b] += m * fx2i;
-          syy[b] += m * sx2_[j];
-          sxy[b] += m * fxi * sx_[j];
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t c = channel(r0 + r);
+        if (c >= channels_) continue;
+        std::int16_t* q = q_.get() + c * stride_ + base_ + i0;
+        std::int16_t* v = v_.get() + c * stride_ + base_ + i0;
+        for (std::size_t j = 0; j < cols; ++j) {
+          q[j] = q_tile[j][r];
+          v[j] = v_tile[j][r];
         }
       }
     }
-    for (int b = 0; b < B; ++b) {
-      const bool use = n[b] >= min_overlap;
-      const double dn = use ? static_cast<double>(n[b]) : 1.0;
-      const double vx =
-          static_cast<double>(sxx[b]) - static_cast<double>(sx[b]) * sx[b] / dn;
-      const double vy =
-          static_cast<double>(syy[b]) - static_cast<double>(sy[b]) * sy[b] / dn;
-      const double cov =
-          static_cast<double>(sxy[b]) - static_cast<double>(sx[b]) * sy[b] / dn;
-      // Variance guard: a (near-)constant channel carries no alignment
-      // information, and float residues below ~1e-2 dB^2 are pure rounding
-      // noise — count the channel with zero correlation.
-      const bool informative = use && vx > 1e-2 && vy > 1e-2;
-      const double r = std::clamp(cov / std::sqrt(vx * vy), -1.0, 1.0);
-      channel_corr_sum[b] += informative ? r : 0.0;
-      channels_used[b] += use ? 1u : 0u;
-      const double ma = sx[b] / dn;
-      const double mb = sy[b] / dn;
-      pn[b] += use ? 1.0 : 0.0;
-      psx[b] += use ? ma : 0.0;
-      psy[b] += use ? mb : 0.0;
-      psxx[b] += use ? ma * ma : 0.0;
-      psyy[b] += use ? mb * mb : 0.0;
-      psxy[b] += use ? ma * mb : 0.0;
-    }
-  }
-
-  for (int b = 0; b < B; ++b) {
-    if (channels_used[b] < config.min_channels) {
-      out[b] = -2.0;
-      continue;
-    }
-    double profile_corr = 0.0;
-    if (pn[b] >= 2.0) {
-      const double vx = psxx[b] - psx[b] * psx[b] / pn[b];
-      const double vy = psyy[b] - psy[b] * psy[b] / pn[b];
-      const double cov = psxy[b] - psx[b] * psy[b] / pn[b];
-      if (vx > 0.0 && vy > 0.0) profile_corr = cov / std::sqrt(vx * vy);
-    }
-    out[b] =
-        channel_corr_sum[b] / static_cast<double>(channels_used[b]) +
-        profile_corr;
-  }
-}
-
-// Runtime ISA dispatch: GCC emits default/AVX2/AVX-512 clones of each block
-// width and an ifunc resolver picks once at load time. The clone attribute
-// must sit on a concrete (non-template) function, hence the macro. Every
-// caller of a given width runs the same resolved clone, and all clones
-// evaluate the same strict-FP source semantics, so dispatch cannot break
-// bit-identity. TSan builds drop the clones: ifunc resolvers run during
-// relocation, before the sanitizer runtime is initialised, and the
-// instrumented resolver path segfaults there.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define RUPS_KERNEL_CLONES \
-  __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
-#else
-#define RUPS_KERNEL_CLONES
-#endif
-
-#define RUPS_DEFINE_LAG_BLOCK(B)                                          \
-  RUPS_KERNEL_CLONES __attribute__((noinline)) void lag_block_##B(        \
-      const PackedView& fixed, std::size_t fixed_start,                   \
-      const PackedView& sliding, std::size_t pos0, std::size_t step,      \
-      std::size_t window, const TrajectoryCorrelationConfig& config,      \
-      double* out) {                                                      \
-    lag_block_body<B>(fixed, fixed_start, sliding, pos0, step, window,    \
-                      config, out);                                       \
-  }
-
-RUPS_DEFINE_LAG_BLOCK(1)
-RUPS_DEFINE_LAG_BLOCK(4)
-RUPS_DEFINE_LAG_BLOCK(8)
-RUPS_DEFINE_LAG_BLOCK(16)
-#undef RUPS_DEFINE_LAG_BLOCK
-#undef RUPS_KERNEL_CLONES
-
-/// Full blocks of B ascending positions, then either an overlapped tail
-/// block (recomputes up to B-1 already-scored positions on the same stride
-/// grid — bit-identical, so harmless) or, when the whole batch is smaller
-/// than B, degenerate single-position blocks.
-template <int B>
-void batch_blocks(const PackedView& fixed, std::size_t fixed_start,
-                  const PackedView& sliding, std::size_t pos_lo,
-                  std::size_t pos_count, std::size_t window,
-                  const TrajectoryCorrelationConfig& config,
-                  double* out_scores, std::size_t pos_stride) {
-  const auto block = [&](std::size_t pos0, std::size_t step, double* out) {
-    if constexpr (B == 4) {
-      lag_block_4(fixed, fixed_start, sliding, pos0, step, window, config,
-                  out);
-    } else if constexpr (B == 8) {
-      lag_block_8(fixed, fixed_start, sliding, pos0, step, window, config,
-                  out);
-    } else {
-      lag_block_16(fixed, fixed_start, sliding, pos0, step, window, config,
-                   out);
-    }
-  };
-  constexpr auto kB = static_cast<std::size_t>(B);
-  std::size_t q = 0;
-  for (; q + kB <= pos_count; q += kB) {
-    block(pos_lo + q * pos_stride, pos_stride, out_scores + q);
-  }
-  if (q == pos_count) return;
-  double tmp[kB];
-  if (pos_count >= kB) {
-    const std::size_t start = pos_count - kB;
-    block(pos_lo + start * pos_stride, pos_stride, tmp);
-    for (std::size_t b = q - start; b < kB; ++b) {
-      out_scores[start + b] = tmp[b];
-    }
-  } else {
-    // Fewer positions than lanes: score one at a time through the B=1
-    // block (identical per-lane arithmetic, so still bit-exact). Running
-    // the wide block at step 0 instead would compute the same position in
-    // every lane — B× redundant work through the slow generic nest.
-    for (; q < pos_count; ++q) {
-      lag_block_1(fixed, fixed_start, sliding, pos_lo + q * pos_stride, 0,
-                  window, config, tmp);
-      out_scores[q] = tmp[0];
-    }
-  }
-}
-
-}  // namespace
-
-double packed_correlation(const PackedView& fixed, std::size_t fixed_start,
-                          const PackedView& sliding, std::size_t pos,
-                          std::size_t window,
-                          const TrajectoryCorrelationConfig& config) {
-  double out[1];
-  lag_block_1(fixed, fixed_start, sliding, pos, 0, window, config, out);
-  return out[0];
-}
-
-void packed_correlation_batch(const PackedView& fixed, std::size_t fixed_start,
-                              const PackedView& sliding, std::size_t pos_lo,
-                              std::size_t pos_count, std::size_t window,
-                              const TrajectoryCorrelationConfig& config,
-                              double* out_scores, std::size_t pos_stride_m) {
-  batch_blocks<16>(fixed, fixed_start, sliding, pos_lo, pos_count, window,
-                   config, out_scores, pos_stride_m);
-}
-
-void packed_correlation_batch_lanes(
-    std::size_t lanes, const PackedView& fixed, std::size_t fixed_start,
-    const PackedView& sliding, std::size_t pos_lo, std::size_t pos_count,
-    std::size_t window, const TrajectoryCorrelationConfig& config,
-    double* out_scores, std::size_t pos_stride_m) {
-  switch (lanes) {
-    case 1:
-      for (std::size_t q = 0; q < pos_count; ++q) {
-        out_scores[q] = packed_correlation(
-            fixed, fixed_start, sliding, pos_lo + q * pos_stride_m, window,
-            config);
-      }
-      break;
-    case 4:
-      batch_blocks<4>(fixed, fixed_start, sliding, pos_lo, pos_count, window,
-                      config, out_scores, pos_stride_m);
-      break;
-    case 8:
-      batch_blocks<8>(fixed, fixed_start, sliding, pos_lo, pos_count, window,
-                      config, out_scores, pos_stride_m);
-      break;
-    default:
-      batch_blocks<16>(fixed, fixed_start, sliding, pos_lo, pos_count, window,
-                       config, out_scores, pos_stride_m);
-      break;
   }
 }
 

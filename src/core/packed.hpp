@@ -1,52 +1,67 @@
 #pragma once
 
-// Packed, reusable representation of a ContextTrajectory for the SYN-search
-// kernel. Historically SynSeeker::slide() re-extracted a dense channel-major
-// copy of BOTH trajectories on every call — per query, per pass, per recency
-// offset — even when the trajectory had only grown by a metre since the last
-// query. PackedContext packs ALL channels once (so the pack is valid for any
-// checking-window channel subset) and extends incrementally as the
-// trajectory grows, which is what makes SYN caching and fleet-scale batching
-// (one ego pack shared by N neighbour queries) cheap.
+// Packed, reusable int16 representation of a ContextTrajectory for the
+// SYN-search kernel (quant.hpp). RSSI is dBm in a narrow physical range and
+// eq. (2) is built from Pearson correlations, which are invariant under a
+// positive affine map of either operand, so every value is stored on one
+// per-pack affine grid, q = round((x - offset) / step). The kernel then
+// accumulates EXACT integer moment sums (DESIGN §15).
 //
-// The correlation kernels live in packed.cpp and are LAG-BATCHED: one
-// traversal of the checking window scores a block of kLagBlock sliding
-// positions, with the fixed-row values loaded once and broadcast while the
-// sliding-side loads are contiguous across the block (SIMD lanes across
-// lags). Every entry point — packed_correlation, packed_correlation_batch,
-// the tuning widths — funnels into the same per-lane accumulation loop,
-// compiled WITHOUT value-changing FP options (no -ffast-math, and
-// -ffp-contract=off), so each lag's moment sums accumulate over the window
-// metres in source order regardless of batch shape. Bit-identical scores
-// for identical inputs are therefore a language-level guarantee, not a
-// compiler accident (see DESIGN.md §11 "Kernel layout").
+// PackedContext packs ALL channels once (so the pack is valid for any
+// checking-window channel subset) and extends incrementally as the
+// trajectory grows, which is what makes SYN caching and fleet-scale
+// batching (one ego pack shared by N neighbour queries) cheap.
+//
+// The grid is a pure function of the retained data's value range, and a
+// sync that moves the range onto another grid requantizes every column.
+// An incrementally synced pack is therefore bit-identical to a one-shot
+// pack of the same trajectory, whatever its sync history: a caller's
+// long-lived pack and a seek's temporary pack score every window
+// identically.
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "core/correlation.hpp"
 #include "core/types.hpp"
 
 namespace rups::core {
 
-/// RSSI values are shifted by this at pack time so the float moment sums in
-/// the kernel centre near zero — without it, sxx - sx^2/n cancels
-/// catastrophically in single precision (values ~-90 dBm, windows of ~100
-/// samples) and near-constant channels produce garbage correlations.
-inline constexpr float kPackShiftDbm = 80.0f;
+/// Quantized magnitude cap. ±1023 (not ±32767) so that every per-window
+/// integer moment sum fits int32 even at the maximum supported window —
+/// which lets the SIMD kernels accumulate and reduce entirely in 32-bit
+/// lanes: |Σ q_a·q_b| <= kQuantMaxWindowM * 1023² < 2³¹.
+inline constexpr int kQuantMax = 1023;
+
+/// Per-pack affine quantization map: q = round((x - offset) / step) for a
+/// dBm value x.
+struct QuantParams {
+  double offset = 0.0;
+  double step = 1.0;
+
+  friend bool operator==(const QuantParams&, const QuantParams&) = default;
+};
 
 /// Borrowed view of a packed trajectory region: channel-major rows of
-/// pre-masked values (0 where unusable), their squares, and 0/1 validity.
-/// Row of channel c starts at x + c*stride; columns are metres.
+/// pre-masked quantized values (0 where unusable) and 0/1 validity, plus
+/// the pack's grid. Row of channel c starts at q + c*stride; columns are
+/// metres.
 struct PackedSpan {
-  const float* x = nullptr;
-  const float* x2 = nullptr;
-  const float* v = nullptr;
-  std::size_t stride = 0;    ///< floats between consecutive channel rows
+  const std::int16_t* q = nullptr;
+  const std::int16_t* v = nullptr;
+  std::size_t stride = 0;    ///< elements between consecutive channel rows
   std::size_t metres = 0;    ///< columns in the view
   std::size_t channels = 0;  ///< rows
+  QuantParams params{};
+};
+
+/// A pack plus its row map: rows[kk] is the row index (= channel id) of the
+/// kk-th checking channel inside `span`.
+struct PackedView {
+  PackedSpan span{};
+  std::span<const std::size_t> rows{};
 };
 
 /// Owning, incrementally-maintained pack of one trajectory. sync() mirrors
@@ -57,10 +72,13 @@ struct PackedSpan {
 ///     the TrajectoryBinder retro-fills interpolated channels up to its
 ///     interpolation gap behind the newest metre, so those columns may have
 ///     changed since the last sync,
+///   * a value range that maps to another grid requantizes every column,
 ///   * anything else (width change, shrink, gap, rebase) falls back to a
 ///     full repack.
-/// The backing buffer over-allocates by ~25% so eviction-driven compaction
-/// is amortized O(channels) per appended metre.
+/// Non-finite values (fuzzed NaN/±inf inputs) are masked unusable. The
+/// backing buffer over-allocates by ~25% so eviction-driven compaction is
+/// amortized O(channels) per appended metre. Move-only. Every packed
+/// column is counted in the `syn.columns_packed` counter.
 class PackedContext {
  public:
   /// Default re-pack horizon; must cover the binder's retro-fill reach
@@ -70,35 +88,55 @@ class PackedContext {
   PackedContext() = default;
 
   /// Bring the pack in sync with `t`. Returns the number of columns
-  /// (re)packed — size() on a full repack, ~volatile_suffix_m + growth in
-  /// steady state.
+  /// (re)packed — size() on a full repack or requantize,
+  /// ~volatile_suffix_m + growth in steady state.
   std::size_t sync(const ContextTrajectory& t,
                    std::size_t volatile_suffix_m = kDefaultVolatileSuffixM);
 
+  /// One-shot pack of `t` that quantizes only the channel rows in `rows`
+  /// (a seek's own pack of a side the caller did not supply). The grid
+  /// still spans every channel's values, so the packed rows are
+  /// bit-identical to a full pack's; other rows hold unspecified values,
+  /// so the pack serves only scans of `rows`. The next sync() repacks in
+  /// full.
+  void pack_rows(const ContextTrajectory& t, std::span<const std::size_t> rows);
+
   [[nodiscard]] PackedSpan span() const noexcept {
-    return {x_.data() + base_, x2_.data() + base_, v_.data() + base_,
-            stride_,           metres_,            channels_};
+    return {q_.get() + base_, v_.get() + base_, stride_,
+            metres_,          channels_,        params_};
   }
 
   [[nodiscard]] bool empty() const noexcept { return metres_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return metres_; }
   [[nodiscard]] std::size_t channels() const noexcept { return channels_; }
+  [[nodiscard]] const QuantParams& params() const noexcept { return params_; }
   [[nodiscard]] std::uint64_t first_metre() const noexcept {
     return first_metre_;
   }
-  /// True when the pack currently mirrors `t`'s retained range.
+  /// True when the pack currently mirrors `t`'s retained range on every
+  /// channel row (never for a pack_rows() pack).
   [[nodiscard]] bool in_sync_with(const ContextTrajectory& t) const noexcept {
-    return channels_ == t.channels() && metres_ == t.size() &&
+    return !partial_ && channels_ == t.channels() && metres_ == t.size() &&
            (t.empty() || first_metre_ == t.first_metre());
   }
 
   void clear() noexcept {
     base_ = metres_ = 0;
     first_metre_ = 0;
+    partial_ = false;
   }
 
  private:
-  void pack_column(const ContextTrajectory& t, std::size_t index);
+  /// Size the storage for `t` and empty the view (full repack follows).
+  void reset(const ContextTrajectory& t);
+  /// Record the value range of column `index` of `t`.
+  void record_range(const ContextTrajectory& t, std::size_t index);
+  /// Quantize columns [from, size()) of `t` onto params_: every channel
+  /// row, or only `rows` when it is non-empty.
+  void quantize(const ContextTrajectory& t, std::size_t from,
+                std::span<const std::size_t> rows);
+  /// Grid of the live columns' value range.
+  [[nodiscard]] QuantParams live_grid() const noexcept;
   void compact() noexcept;
 
   std::size_t channels_ = 0;
@@ -106,92 +144,16 @@ class PackedContext {
   std::uint64_t first_metre_ = 0;  ///< odometer metre of column `base_`
   std::size_t base_ = 0;           ///< first live column in the buffer
   std::size_t metres_ = 0;         ///< live columns
-  std::vector<float> x_, x2_, v_;
+  bool partial_ = false;           ///< pack_rows() left rows unpacked
+  QuantParams params_{};
+  /// Channel-major cells, channels_ rows of stride_. Left uninitialized
+  /// when allocated: only live columns are ever read, and every sync or
+  /// pack_rows writes them first — so a row-subset pack never touches the
+  /// pages of rows it does not pack.
+  std::unique_ptr<std::int16_t[]> q_, v_;
+  std::size_t cells_ = 0;  ///< capacity of q_ and v_
+  /// Per-column min/max of the usable finite values (+inf/-inf when none).
+  std::vector<float> lo_, hi_;
 };
-
-/// One-shot dense pack of a channel subset over one stretch — the
-/// historical per-query layout: row i holds channels[i] restricted to
-/// [from, from+len). Cheap to build exactly once per slide pass; callers
-/// without a maintained PackedContext use this.
-class SubsetPack {
- public:
-  SubsetPack() = default;
-  SubsetPack(const ContextTrajectory& t, std::span<const std::size_t> channels,
-             std::size_t from, std::size_t len);
-
-  /// View with stride == len and channels == subset size (row indices are
-  /// subset positions, not channel ids).
-  [[nodiscard]] PackedSpan span() const noexcept {
-    return {x_.data(), x2_.data(), v_.data(), metres_, metres_, k_};
-  }
-
- private:
-  std::size_t metres_ = 0;
-  std::size_t k_ = 0;
-  std::vector<float> x_, x2_, v_;
-};
-
-/// A pack plus its row map: rows[kk] is the row index of the kk-th checking
-/// channel inside `span`. For an all-channel PackedContext the rows are the
-/// selected channel ids themselves; for a SubsetPack they are 0..k-1. The
-/// kernel below only ever sees (span, rows) pairs, so both layouts run the
-/// same compiled loop over the same values.
-struct PackedView {
-  PackedSpan span{};
-  std::span<const std::size_t> rows{};
-};
-
-/// Lane width of the production lag-batched kernel: one window traversal
-/// scores this many sliding positions. 16 keeps the per-channel float
-/// accumulator working set (6 sums x 16 lanes) inside the vector register
-/// file on AVX2 and x86-64-v4 targets while still amortizing the fixed-row
-/// loads 16x; callers that chunk scans should align chunk lengths to this
-/// so only the final chunk pays a partial block.
-inline constexpr std::size_t kLagBlock = 16;
-
-/// Trajectory correlation (paper eq. (2)) between the fixed window
-/// [fixed_start, fixed_start+window) of `fixed` and the sliding window
-/// [pos, pos+window) of `sliding`, over fixed.rows/sliding.rows (must have
-/// equal length: entry kk of each names the kk-th checking channel's row).
-/// Identical semantics to trajectory_correlation(); this is the float fast
-/// path the SYN search runs on. Single-position wrapper over the lane
-/// kernel — bit-identical to any packed_correlation_batch() lane scoring
-/// the same position.
-[[nodiscard]] double packed_correlation(
-    const PackedView& fixed, std::size_t fixed_start, const PackedView& sliding,
-    std::size_t pos, std::size_t window,
-    const TrajectoryCorrelationConfig& config);
-
-/// Lag-batched correlation: scores `pos_count` sliding positions
-///   pos_lo + q * pos_stride_m   for q in [0, pos_count)
-/// into out_scores[q], each exactly equal (bit-identical) to the
-/// corresponding packed_correlation() call. One traversal of the checking
-/// window scores kLagBlock positions at a time: fixed-row values are loaded
-/// once and broadcast, the B sliding-side loads per metre are contiguous
-/// across the block (stride 1) or strided by pos_stride_m — SIMD lanes
-/// across lags instead of across metres, which is why no value-changing FP
-/// flags are needed to vectorize. A trailing partial block is rescored as
-/// an overlapped full block ending at the last position (same stride grid,
-/// so recomputed lanes reproduce the same bits); when pos_count < kLagBlock
-/// each position runs as a degenerate single-position block.
-/// Caller must guarantee every scored window fits: pos_lo +
-/// (pos_count-1)*pos_stride_m + window <= sliding.span.metres.
-void packed_correlation_batch(const PackedView& fixed, std::size_t fixed_start,
-                              const PackedView& sliding, std::size_t pos_lo,
-                              std::size_t pos_count, std::size_t window,
-                              const TrajectoryCorrelationConfig& config,
-                              double* out_scores,
-                              std::size_t pos_stride_m = 1);
-
-/// Tuning/bench surface: packed_correlation_batch with an explicit lane
-/// width. lanes must be 1, 4, 8 or 16 (1 = per-position scalar path, the
-/// baseline the bench sweep compares against). All widths produce
-/// bit-identical scores — the per-lane accumulation order never depends on
-/// the block shape. Production callers use packed_correlation_batch().
-void packed_correlation_batch_lanes(
-    std::size_t lanes, const PackedView& fixed, std::size_t fixed_start,
-    const PackedView& sliding, std::size_t pos_lo, std::size_t pos_count,
-    std::size_t window, const TrajectoryCorrelationConfig& config,
-    double* out_scores, std::size_t pos_stride_m = 1);
 
 }  // namespace rups::core

@@ -54,8 +54,7 @@ void SynCache::invalidate() noexcept {
 SynCache::TrackOutcome SynCache::verify_tracked(
     const ContextTrajectory& local, const ContextTrajectory& neighbour,
     std::size_t recency_offset_m, const PackedSpan& local_span,
-    const PackedSpan& neighbour_span, const QuantizedPack* local_q,
-    const QuantizedPack* neighbour_q) {
+    const PackedSpan& neighbour_span) {
   seeker_.plan_into(local, neighbour, recency_offset_m, plan_scratch_,
                     chan_scratch_);
   const SynSeeker::SeekPlan& p = plan_scratch_;
@@ -98,35 +97,11 @@ SynCache::TrackOutcome SynCache::verify_tracked(
       l_first;
 
   // Same ScanPair shape as the full search's two passes, so the band scan
-  // runs the exact kernel (and precision) a full seek would.
-  const KernelPrecision prec = seeker_.config().precision;
-  ScanPair pass1{prec,
-                 {local_span, p.channels_a},
-                 p.a_start,
-                 {neighbour_span, p.channels_a},
-                 {},
-                 {},
-                 {},
-                 {}};
-  ScanPair pass2{prec,
-                 {neighbour_span, p.channels_b},
-                 p.b_start,
-                 {local_span, p.channels_b},
-                 {},
-                 {},
-                 {},
-                 {}};
-  if (prec == KernelPrecision::kInt16) {
-    pass1.qfixed16 = {local_q->span16(), p.channels_a};
-    pass1.qsliding16 = {neighbour_q->span16(), p.channels_a};
-    pass2.qfixed16 = {neighbour_q->span16(), p.channels_b};
-    pass2.qsliding16 = {local_q->span16(), p.channels_b};
-  } else if (prec == KernelPrecision::kInt8) {
-    pass1.qfixed8 = {local_q->span8(), p.channels_a};
-    pass1.qsliding8 = {neighbour_q->span8(), p.channels_a};
-    pass2.qfixed8 = {neighbour_q->span8(), p.channels_b};
-    pass2.qsliding8 = {local_q->span8(), p.channels_b};
-  }
+  // runs the exact kernel a full seek would.
+  const ScanPair pass1{
+      {local_span, p.channels_a}, p.a_start, {neighbour_span, p.channels_a}};
+  const ScanPair pass2{
+      {neighbour_span, p.channels_b}, p.b_start, {local_span, p.channels_b}};
 
   SynSeeker::Candidate on_b;
   SynSeeker::Candidate on_a;
@@ -173,17 +148,15 @@ void SynCache::update_lock(const ContextTrajectory& local,
 
 std::vector<SynPoint> SynCache::find(const ContextTrajectory& local,
                                      const ContextTrajectory& neighbour,
-                                     const PackedContext* local_pack,
-                                     const QuantizedPack* local_qpack) {
+                                     const PackedContext* local_pack) {
   std::vector<SynPoint> out;
-  find_into(local, neighbour, local_pack, local_qpack, out);
+  find_into(local, neighbour, local_pack, out);
   return out;
 }
 
 void SynCache::find_into(const ContextTrajectory& local,
                          const ContextTrajectory& neighbour,
                          const PackedContext* local_pack,
-                         const QuantizedPack* local_qpack,
                          std::vector<SynPoint>& out) {
   out.clear();
   CacheMetrics& m = cache_metrics();
@@ -200,25 +173,6 @@ void SynCache::find_into(const ContextTrajectory& local,
   }
   neighbour_pack_.sync(neighbour, config_.volatile_suffix_m);
 
-  // Quantized mirrors of whatever packs the scans will read. A fresh
-  // caller-shared ego mirror (FleetEngine's, synced once per batch) wins
-  // over our own copy, same rule as the float pack above.
-  const KernelPrecision prec = seeker_.config().precision;
-  const QuantizedPack* lq = nullptr;
-  const QuantizedPack* nq = nullptr;
-  if (prec != KernelPrecision::kFloat32) {
-    const QuantBits bits = prec == KernelPrecision::kInt8 ? QuantBits::kInt8
-                                                          : QuantBits::kInt16;
-    if (local_qpack != nullptr && local_qpack->mirrors(*lp, bits)) {
-      lq = local_qpack;
-    } else {
-      local_q_.sync(*lp, bits, config_.volatile_suffix_m);
-      lq = &local_q_;
-    }
-    neighbour_q_.sync(neighbour_pack_, bits, config_.volatile_suffix_m);
-    nq = &neighbour_q_;
-  }
-
   if (!config_.enabled || !locked_) {
     // Cold (or tracking disabled): full multi-offset search through the
     // member scratch — same offsets, same arithmetic and the same sort as
@@ -231,8 +185,8 @@ void SynCache::find_into(const ContextTrajectory& local,
     for (std::size_t k = 0; k < points; ++k) {
       const std::size_t offset = k * seeker_.config().syn_segment_spacing_m;
       const auto syn =
-          seeker_.find_one(local, neighbour, offset, lp, &neighbour_pack_, lq,
-                           nq, plan_scratch_, chan_scratch_);
+          seeker_.find_one(local, neighbour, offset, lp, &neighbour_pack_,
+                           plan_scratch_, chan_scratch_);
       if (syn.has_value()) out.push_back(*syn);
     }
     std::sort(out.begin(), out.end(),
@@ -252,7 +206,7 @@ void SynCache::find_into(const ContextTrajectory& local,
     {
       obs::ObsTimer timer(&m.track_us, "syncache.track");
       outcome = verify_tracked(local, neighbour, offset, local_span,
-                               neighbour_span, lq, nq);
+                               neighbour_span);
     }
     if (outcome.resolved) {
       ++stats_.tracking_hits;
@@ -275,7 +229,7 @@ void SynCache::find_into(const ContextTrajectory& local,
     m.full.inc();
     obs::ObsTimer timer(&m.full_us, "syncache.full");
     const auto syn = seeker_.find_one(local, neighbour, offset, lp,
-                                      &neighbour_pack_, lq, nq, plan_scratch_,
+                                      &neighbour_pack_, plan_scratch_,
                                       chan_scratch_);
     if (syn.has_value()) out.push_back(*syn);
   }

@@ -55,13 +55,10 @@ class SynCache {
   /// syn_points SYN points, best-correlation first. `local_pack`, when
   /// supplied and in sync with `local`, is reused (FleetEngine shares one
   /// ego pack across all neighbour shards); otherwise the cache maintains
-  /// its own. `local_qpack` is the analogous shared quantized mirror of
-  /// `local_pack`, consulted only when syn.precision != kFloat32; when
-  /// absent or stale the cache maintains its own quantized mirrors too.
+  /// its own.
   [[nodiscard]] std::vector<SynPoint> find(
       const ContextTrajectory& local, const ContextTrajectory& neighbour,
-      const PackedContext* local_pack = nullptr,
-      const QuantizedPack* local_qpack = nullptr);
+      const PackedContext* local_pack = nullptr);
 
   /// Scratch-reusing form of find(): writes the SYN points into `out`
   /// (cleared first, capacity retained). On the warm tracking path —
@@ -71,7 +68,6 @@ class SynCache {
   void find_into(const ContextTrajectory& local,
                  const ContextTrajectory& neighbour,
                  const PackedContext* local_pack,
-                 const QuantizedPack* local_qpack,
                  std::vector<SynPoint>& out);
 
   /// Tracking lock held from a previous accepted SYN point?
@@ -97,18 +93,13 @@ class SynCache {
     std::optional<SynPoint> syn;
   };
 
-  /// `local_q` / `neighbour_q` are quantized mirrors of the spans (null at
-  /// kFloat32): the band re-verification then runs the same quantized
-  /// kernel as the full search, so precision cannot split the two paths.
   /// Non-const: plans through the member scratch (plan_scratch_ /
   /// chan_scratch_) so warm re-verification never heap-allocates.
   [[nodiscard]] TrackOutcome verify_tracked(const ContextTrajectory& local,
                                             const ContextTrajectory& neighbour,
                                             std::size_t recency_offset_m,
                                             const PackedSpan& local_span,
-                                            const PackedSpan& neighbour_span,
-                                            const QuantizedPack* local_q,
-                                            const QuantizedPack* neighbour_q);
+                                            const PackedSpan& neighbour_span);
 
   void update_lock(const ContextTrajectory& local,
                    const ContextTrajectory& neighbour,
@@ -118,9 +109,6 @@ class SynCache {
   SynSeeker seeker_;
   PackedContext local_pack_;
   PackedContext neighbour_pack_;
-  /// Quantized mirrors, synced only when syn.precision != kFloat32.
-  QuantizedPack local_q_;
-  QuantizedPack neighbour_q_;
   bool locked_ = false;
   std::int64_t lock_offset_m_ = 0;
   Stats stats_;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
-#include <numeric>
 
 #include "core/channel_select.hpp"
 #include "core/turn_detector.hpp"
@@ -63,14 +62,48 @@ SynSeeker::Candidate reduce_chunks(
   return best;
 }
 
+/// True when `pack` mirrors `t` and can serve its seeks as is.
+bool usable_pack(const PackedContext* pack, const ContextTrajectory& t) {
+  return pack != nullptr && pack->in_sync_with(t);
+}
+
+/// Points `pack_a`/`pack_b` at packs the seeks of `plans` can read: a side
+/// the caller did not supply (or supplied stale or row-subset — correctness
+/// never depends on the caller keeping packs fresh) is packed into `own_a` /
+/// `own_b`, restricted to the channel rows the plans' slide passes read.
+/// Packs nothing when every plan is rejected (no seek will scan).
+void pack_missing_sides(const ContextTrajectory& a,
+                        const ContextTrajectory& b,
+                        std::span<const SynSeeker::SeekPlan> plans,
+                        const PackedContext*& pack_a,
+                        const PackedContext*& pack_b, PackedContext& own_a,
+                        PackedContext& own_b) {
+  const bool have_a = usable_pack(pack_a, a);
+  const bool have_b = usable_pack(pack_b, b);
+  if (have_a && have_b) return;
+  std::vector<std::size_t> rows;
+  for (const SynSeeker::SeekPlan& p : plans) {
+    if (p.reject != nullptr) continue;
+    rows.insert(rows.end(), p.channels_a.begin(), p.channels_a.end());
+    rows.insert(rows.end(), p.channels_b.begin(), p.channels_b.end());
+  }
+  if (rows.empty()) return;
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  if (!have_a) {
+    own_a.pack_rows(a, rows);
+    pack_a = &own_a;
+  }
+  if (!have_b) {
+    own_b.pack_rows(b, rows);
+    pack_b = &own_b;
+  }
+}
+
 }  // namespace
 
 SynSeeker::SynSeeker(SynConfig config, util::ThreadPool* pool)
-    : config_(config),
-      pool_(pool),
-      identity_rows_(std::max<std::size_t>(config.top_channels, 1)) {
-  std::iota(identity_rows_.begin(), identity_rows_.end(), std::size_t{0});
-}
+    : config_(config), pool_(pool) {}
 
 std::pair<std::size_t, double> SynSeeker::effective_window(
     std::size_t available_a, std::size_t available_b) const {
@@ -191,81 +224,17 @@ SynSeeker::Candidate SynSeeker::best_over_grid(
     }
   };
 
+  // Strided grids (coarse scan, stride_m > 1) take the same loop: the
+  // kernel's along-window pass scores strided lanes at contiguous cost.
   double scores[kLagBlock];
-
-  // Strided grids (metre_step > 1) never use the FLOAT kernel's
-  // strided-lane nest for big scans: its lane loads are non-contiguous,
-  // the auto-vectorizer gives up, and the 6×kLagBlock live accumulators
-  // then cost more than per-position scoring. Instead:
-  //  - small strides (≤ covering_scan_max_stride_m, measured — DESIGN
-  //    §11): score the *contiguous covering metre range* at full block
-  //    width and reduce only the lanes landing on the grid. Scores are
-  //    bit-identical however they are batched, so the extra lanes are
-  //    semantically free, and at batch speed this beats per-position
-  //    scoring up to the measured crossover stride.
-  //  - larger strides: per-position scoring (the covering range would
-  //    spend most lanes between grid points).
-  // The quantized kernel needs neither: its along-window integer pass
-  // scores strided lanes at contiguous cost, so every quantized grid
-  // takes the generic batched loop below.
-  if (metre_step > 1 && pair.precision == KernelPrecision::kFloat32) {
-    const std::size_t m_lo = grid_lo * metre_step;
-    const std::size_t m_last = (grid_hi - 1) * metre_step;
-    if (metre_step <= config_.covering_scan_max_stride_m &&
-        m_last - m_lo + 1 >= kLagBlock) {
-      std::size_t blocks = 0;
-      const auto reduce_cover = [&](std::size_t m0) {
-        for (std::size_t b = 0; b < kLagBlock; ++b) {
-          const std::size_t m = m0 + b;
-          if (m > m_last || m % metre_step != 0) continue;
-          if (!best.valid || scores[b] > best.correlation) {
-            best = {scores[b], (m / metre_step) * index_step, true};
-          }
-        }
-      };
-      std::size_t m = m_lo;
-      for (; m + kLagBlock <= m_last + 1; m += kLagBlock) {
-        packed_correlation_batch(pair.fixed, pair.fixed_start, pair.sliding,
-                                 m, kLagBlock, window, config_.correlation,
-                                 scores);
-        reduce_cover(m);
-        ++blocks;
-      }
-      if (m <= m_last) {
-        // Overlapped tail on the metre axis (same argument as below: a
-        // re-scored lane is bit-identical and cannot displace `best`).
-        const std::size_t start = m_last + 1 - kLagBlock;
-        packed_correlation_batch(pair.fixed, pair.fixed_start, pair.sliding,
-                                 start, kLagBlock, window,
-                                 config_.correlation, scores);
-        reduce_cover(start);
-        ++blocks;
-      }
-      syn_metrics().kernel_blocks.inc(blocks);
-      return best;
-    }
-    if (metre_step > config_.covering_scan_max_stride_m) {
-      for (std::size_t g = grid_lo; g < grid_hi; ++g) {
-        const double s = packed_correlation(pair.fixed, pair.fixed_start,
-                                            pair.sliding, g * metre_step,
-                                            window, config_.correlation);
-        if (!best.valid || s > best.correlation) {
-          best = {s, g * index_step, true};
-        }
-      }
-      syn_metrics().kernel_blocks.inc(grid_hi - grid_lo);
-      return best;
-    }
-    // Small-span strided grid: fall through — the generic loop below ends
-    // in degenerate per-position blocks for counts under kLagBlock.
-  }
-
+  const auto scan = [&](std::size_t first, std::size_t count) {
+    quantized_correlation_batch(pair.fixed, pair.fixed_start, pair.sliding,
+                                first * metre_step, count, window,
+                                config_.correlation, scores, metre_step);
+    reduce(scores, first, count);
+  };
   std::size_t q = grid_lo;
-  for (; q + kLagBlock <= grid_hi; q += kLagBlock) {
-    scan_correlation_batch(pair, q * metre_step, kLagBlock, window,
-                           config_.correlation, scores, metre_step);
-    reduce(scores, q, kLagBlock);
-  }
+  for (; q + kLagBlock <= grid_hi; q += kLagBlock) scan(q, kLagBlock);
   std::size_t blocks = (q - grid_lo) / kLagBlock;
   if (q < grid_hi) {
     if (grid_hi - grid_lo >= kLagBlock) {
@@ -273,15 +242,10 @@ SynSeeker::Candidate SynSeeker::best_over_grid(
       // re-seen lanes are bit-identical to their full-block scores, and an
       // equal score can never displace `best` (strict >), so the
       // lowest-position tie-break is untouched.
-      const std::size_t start = grid_hi - kLagBlock;
-      scan_correlation_batch(pair, start * metre_step, kLagBlock, window,
-                             config_.correlation, scores, metre_step);
-      reduce(scores, start, kLagBlock);
+      scan(grid_hi - kLagBlock, kLagBlock);
       blocks += 1;
     } else {
-      scan_correlation_batch(pair, q * metre_step, grid_hi - q, window,
-                             config_.correlation, scores, metre_step);
-      reduce(scores, q, grid_hi - q);
+      scan(q, grid_hi - q);
       blocks += grid_hi - q;  // degenerate single-position blocks
     }
   }
@@ -311,20 +275,9 @@ SynSeeker::Candidate SynSeeker::slide(const ScanPair& pair,
   // Coarse-to-fine: scan every coarse_stride-th position, then refine the
   // neighbourhood of the best coarse hit exhaustively. Like the fine scan
   // it is parallelized over the pool with the lowest-position tie-break
-  // reduction. Only engaged when the stride is wide enough to beat the
-  // exhaustive batched scan: below the measured covering crossover the
-  // cheapest way to score a strided grid IS the contiguous covering scan
-  // (see best_over_grid), which costs the same as scoring every position —
-  // so a sparse pre-pass would only add its refine pass on top. The
-  // quantized kernel scores any stride at batch cost, so it engages
-  // coarse-to-fine for every stride > 1.
-  const std::size_t coarse_floor =
-      pair.precision == KernelPrecision::kFloat32
-          ? config_.covering_scan_max_stride_m
-          : 1;
-  if (config_.coarse_stride_m > 1 &&
-      config_.coarse_stride_m * config_.stride_m > coarse_floor &&
-      positions > 4 * config_.coarse_stride_m) {
+  // reduction. The kernel scores any stride at batch cost, so every coarse
+  // stride > 1 pays off.
+  if (config_.coarse_stride_m > 1 && positions > 4 * config_.coarse_stride_m) {
     const std::size_t coarse = config_.coarse_stride_m;
     const std::size_t coarse_count = (positions + coarse - 1) / coarse;
     syn_metrics().windows.inc(coarse_count);
@@ -373,33 +326,35 @@ SynSeeker::Candidate SynSeeker::slide(const ScanPair& pair,
 std::optional<SynPoint> SynSeeker::find_one(
     const ContextTrajectory& a, const ContextTrajectory& b,
     std::size_t recency_offset_m) const {
-  return find_one(a, b, recency_offset_m, nullptr, nullptr, nullptr, nullptr);
+  return find_one(a, b, recency_offset_m, nullptr, nullptr);
 }
 
 std::optional<SynPoint> SynSeeker::find_one(
     const ContextTrajectory& a, const ContextTrajectory& b,
     std::size_t recency_offset_m, const PackedContext* pack_a,
     const PackedContext* pack_b) const {
-  return find_one(a, b, recency_offset_m, pack_a, pack_b, nullptr, nullptr);
-}
-
-std::optional<SynPoint> SynSeeker::find_one(
-    const ContextTrajectory& a, const ContextTrajectory& b,
-    std::size_t recency_offset_m, const PackedContext* pack_a,
-    const PackedContext* pack_b, const QuantizedPack* qpack_a,
-    const QuantizedPack* qpack_b) const {
   SeekPlan plan_scratch;
   ChannelSelectScratch chan_scratch;
-  return find_one(a, b, recency_offset_m, pack_a, pack_b, qpack_a, qpack_b,
-                  plan_scratch, chan_scratch);
+  return find_one(a, b, recency_offset_m, pack_a, pack_b, plan_scratch,
+                  chan_scratch);
 }
 
 std::optional<SynPoint> SynSeeker::find_one(
     const ContextTrajectory& a, const ContextTrajectory& b,
     std::size_t recency_offset_m, const PackedContext* pack_a,
-    const PackedContext* pack_b, const QuantizedPack* qpack_a,
-    const QuantizedPack* qpack_b, SeekPlan& plan_scratch,
+    const PackedContext* pack_b, SeekPlan& plan_scratch,
     ChannelSelectScratch& chan_scratch) const {
+  plan_into(a, b, recency_offset_m, plan_scratch, chan_scratch);
+  PackedContext own_a;
+  PackedContext own_b;
+  pack_missing_sides(a, b, {&plan_scratch, 1}, pack_a, pack_b, own_a, own_b);
+  return seek_planned(a, b, recency_offset_m, plan_scratch, pack_a, pack_b);
+}
+
+std::optional<SynPoint> SynSeeker::seek_planned(
+    const ContextTrajectory& a, const ContextTrajectory& b,
+    std::size_t recency_offset_m, const SeekPlan& p,
+    const PackedContext* pack_a, const PackedContext* pack_b) const {
   SynMetrics& metrics = syn_metrics();
   metrics.seeks.inc();
   obs::ObsTimer timer(&metrics.seek_us, "syn.seek");
@@ -407,8 +362,6 @@ std::optional<SynPoint> SynSeeker::find_one(
   recorder.record(obs::EventType::kSeekStarted, "syn.seek",
                   static_cast<double>(a.size()), static_cast<double>(b.size()),
                   static_cast<double>(recency_offset_m));
-  plan_into(a, b, recency_offset_m, plan_scratch, chan_scratch);
-  const SeekPlan& p = plan_scratch;
   if (p.reject != nullptr) {
     metrics.outcomes.with(p.reject).inc();
     recorder.record(obs::EventType::kSeekRejected, p.reject, 0.0, p.reject_v1,
@@ -416,100 +369,12 @@ std::optional<SynPoint> SynSeeker::find_one(
     return std::nullopt;
   }
 
-  // Each side either reuses a caller-maintained all-channel pack (row map =
-  // selected channel ids) or falls back to the historical per-pass subset
-  // packs (row map = 0..k-1, a prefix of the cached identity map — no
-  // per-seek allocation). A stale caller pack is ignored — correctness
-  // never depends on the caller keeping packs fresh.
-  const bool have_a = pack_a != nullptr && pack_a->in_sync_with(a);
-  const bool have_b = pack_b != nullptr && pack_b->in_sync_with(b);
-  std::span<const std::size_t> identity(identity_rows_);
-  std::vector<std::size_t> overflow;  // select_top_channels caps at
-                                      // top_channels, so this stays empty
-  const std::size_t need =
-      std::max(p.channels_a.size(), p.channels_b.size());
-  if (need > identity.size()) {
-    overflow.resize(need);
-    std::iota(overflow.begin(), overflow.end(), std::size_t{0});
-    identity = overflow;
-  }
-  const std::span<const std::size_t> rows_ka =
-      identity.first(p.channels_a.size());
-  const std::span<const std::size_t> rows_kb =
-      identity.first(p.channels_b.size());
-
-  SubsetPack fixed_a, slide_b, fixed_b, slide_a;
-  PackedView f1, s1, f2, s2;
-  std::size_t f1_start = 0;
-  std::size_t f2_start = 0;
-  if (have_a) {
-    f1 = {pack_a->span(), p.channels_a};
-    f1_start = p.a_start;
-    s2 = {pack_a->span(), p.channels_b};
-  } else {
-    fixed_a = SubsetPack(a, p.channels_a, p.a_start, p.window);
-    f1 = {fixed_a.span(), rows_ka};
-    slide_a = SubsetPack(a, p.channels_b, 0, a.size());
-    s2 = {slide_a.span(), rows_kb};
-  }
-  if (have_b) {
-    s1 = {pack_b->span(), p.channels_a};
-    f2 = {pack_b->span(), p.channels_b};
-    f2_start = p.b_start;
-  } else {
-    slide_b = SubsetPack(b, p.channels_a, 0, b.size());
-    s1 = {slide_b.span(), rows_ka};
-    fixed_b = SubsetPack(b, p.channels_b, p.b_start, p.window);
-    f2 = {fixed_b.span(), rows_kb};
-  }
-
-  ScanPair pass1{config_.precision, f1, f1_start, s1, {}, {}, {}, {}};
-  ScanPair pass2{config_.precision, f2, f2_start, s2, {}, {}, {}, {}};
-  // Quantized operands. A pack-backed side reuses the caller's mirror when
-  // it mirrors the SAME pack state the float views were taken from;
-  // otherwise (and for every SubsetPack fallback operand) the scanned span
-  // is quantized one-shot here — the scratch packs must outlive the scans.
-  QuantizedPack q_scratch[4];
-  if (config_.precision != KernelPrecision::kFloat32) {
-    const QuantBits bits = config_.precision == KernelPrecision::kInt8
-                               ? QuantBits::kInt8
-                               : QuantBits::kInt16;
-    std::size_t scratch_used = 0;
-    const auto quant_of = [&](const PackedSpan& span, bool pack_backed,
-                              const PackedContext* pack,
-                              const QuantizedPack* mirror)
-        -> const QuantizedPack* {
-      if (pack_backed && mirror != nullptr && mirror->mirrors(*pack, bits)) {
-        return mirror;
-      }
-      QuantizedPack& scratch = q_scratch[scratch_used++];
-      scratch.build(span, bits);
-      return &scratch;
-    };
-    // One quant pack per underlying span: a pack-backed side serves both
-    // its fixed and sliding roles from the same object.
-    const QuantizedPack* qa =
-        quant_of(have_a ? pack_a->span() : fixed_a.span(), have_a, pack_a,
-                 qpack_a);
-    const QuantizedPack* qa_slide =
-        have_a ? qa : quant_of(slide_a.span(), false, nullptr, nullptr);
-    const QuantizedPack* qb =
-        quant_of(have_b ? pack_b->span() : slide_b.span(), have_b, pack_b,
-                 qpack_b);
-    const QuantizedPack* qb_fixed =
-        have_b ? qb : quant_of(fixed_b.span(), false, nullptr, nullptr);
-    if (bits == QuantBits::kInt16) {
-      pass1.qfixed16 = {qa->span16(), f1.rows};
-      pass1.qsliding16 = {qb->span16(), s1.rows};
-      pass2.qfixed16 = {qb_fixed->span16(), f2.rows};
-      pass2.qsliding16 = {qa_slide->span16(), s2.rows};
-    } else {
-      pass1.qfixed8 = {qa->span8(), f1.rows};
-      pass1.qsliding8 = {qb->span8(), s1.rows};
-      pass2.qfixed8 = {qb_fixed->span8(), f2.rows};
-      pass2.qsliding8 = {qa_slide->span8(), s2.rows};
-    }
-  }
+  // All-channel row layout, so the row maps are the selected channel ids
+  // themselves and one pack serves a side's fixed and sliding roles.
+  const PackedSpan sa = pack_a->span();
+  const PackedSpan sb = pack_b->span();
+  const ScanPair pass1{{sa, p.channels_a}, p.a_start, {sb, p.channels_a}};
+  const ScanPair pass2{{sb, p.channels_b}, p.b_start, {sa, p.channels_b}};
 
   // Both correlation-scan passes share one kernel span: the child of
   // "syn.seek" that shows up in the paper's Fig. 10-12 cost breakdowns.
@@ -553,27 +418,30 @@ std::optional<SynPoint> SynSeeker::find_one(
 
 std::vector<SynPoint> SynSeeker::find(const ContextTrajectory& a,
                                       const ContextTrajectory& b) const {
-  return find(a, b, nullptr, nullptr, nullptr, nullptr);
+  return find(a, b, nullptr, nullptr);
 }
 
 std::vector<SynPoint> SynSeeker::find(const ContextTrajectory& a,
                                       const ContextTrajectory& b,
                                       const PackedContext* pack_a,
                                       const PackedContext* pack_b) const {
-  return find(a, b, pack_a, pack_b, nullptr, nullptr);
-}
-
-std::vector<SynPoint> SynSeeker::find(const ContextTrajectory& a,
-                                      const ContextTrajectory& b,
-                                      const PackedContext* pack_a,
-                                      const PackedContext* pack_b,
-                                      const QuantizedPack* qpack_a,
-                                      const QuantizedPack* qpack_b) const {
+  // Plan every recency offset first, so a side the caller did not supply
+  // is packed once — restricted to the rows any plan reads — and shared by
+  // every offset and both slide passes.
+  const std::size_t points = std::max<std::size_t>(1, config_.syn_points);
+  std::vector<SeekPlan> plans(points);
+  ChannelSelectScratch chan_scratch;
+  for (std::size_t k = 0; k < points; ++k) {
+    plan_into(a, b, k * config_.syn_segment_spacing_m, plans[k],
+              chan_scratch);
+  }
+  PackedContext own_a;
+  PackedContext own_b;
+  pack_missing_sides(a, b, plans, pack_a, pack_b, own_a, own_b);
   std::vector<SynPoint> out;
-  for (std::size_t k = 0; k < std::max<std::size_t>(1, config_.syn_points);
-       ++k) {
-    const std::size_t offset = k * config_.syn_segment_spacing_m;
-    const auto syn = find_one(a, b, offset, pack_a, pack_b, qpack_a, qpack_b);
+  for (std::size_t k = 0; k < points; ++k) {
+    const auto syn = seek_planned(a, b, k * config_.syn_segment_spacing_m,
+                                  plans[k], pack_a, pack_b);
     if (syn.has_value()) out.push_back(*syn);
   }
   std::sort(out.begin(), out.end(), [](const SynPoint& x, const SynPoint& y) {

@@ -15,14 +15,6 @@
 
 namespace rups::core {
 
-/// Largest metre-stride at which best_over_grid scores a strided grid by
-/// batching the contiguous COVERING metre range (discarding off-grid
-/// lanes) instead of scoring grid points one by one. Measured crossover,
-/// not the old hardcoded kLagBlock/2 rule: `bench_syn_kernel
-/// --stride-crossover` times both strategies per stride at the paper
-/// point and this default records where per-position wins (DESIGN §11).
-inline constexpr std::size_t kCoveringScanMaxStrideM = 6;
-
 /// Parameters of the SYN-point search (paper Secs. IV-D, V-C, VI-B).
 struct SynConfig {
   /// Checking-window length in metres (paper evaluates with 85 m and the
@@ -57,16 +49,6 @@ struct SynConfig {
   /// Threshold multiplier applied at min_window_m (linear in window size up
   /// to 1.0 at window_m). "Combined with a smaller threshold" — Sec. V-C.
   double adaptive_threshold_floor = 0.75;
-  /// Kernel precision for every correlation scan this seeker issues.
-  /// kFloat32 (default) is the strict bit-identical path; kInt16 / kInt8
-  /// run the quantized GEMM-shaped kernel (bounded score error, DESIGN
-  /// §15). Accept/reject plumbing (plan, thresholds, tie-breaks) is shared,
-  /// so precision only changes scores, never search structure.
-  KernelPrecision precision = KernelPrecision::kFloat32;
-  /// Strided-grid strategy crossover (see kCoveringScanMaxStrideM).
-  /// Exposed so the bench can sweep it; float path only — the quantized
-  /// kernel scores strided lanes at contiguous cost and ignores it.
-  std::size_t covering_scan_max_stride_m = kCoveringScanMaxStrideM;
   TrajectoryCorrelationConfig correlation{};
 };
 
@@ -86,9 +68,10 @@ struct SynPoint {
 /// above the coherency threshold wins. Complexity O(m * w * k) per recent
 /// segment; optionally parallelized over slide positions with a ThreadPool.
 ///
-/// Callers that query repeatedly against slowly-growing trajectories should
-/// pass pre-synced PackedContexts to find()/find_one() — the search then
-/// skips the per-query dense extraction entirely (and a shared ego pack can
+/// Every scan runs the int16 kernel (quant.hpp) on all-channel
+/// PackedContexts. Callers that query repeatedly against slowly-growing
+/// trajectories should pass pre-synced packs to find()/find_one() — the
+/// search then skips packing that side entirely (and a shared ego pack can
 /// serve every neighbour in a batch, see FleetEngine).
 class SynSeeker {
  public:
@@ -119,26 +102,20 @@ class SynSeeker {
 
   /// Find up to config.syn_points SYN points between two trajectories,
   /// best-correlation first. Empty if the trajectories are unrelated.
-  /// The 4-argument overload reuses caller-maintained packs (packed once,
-  /// shared by both slide passes and all recency offsets); pass nullptr —
-  /// or an out-of-sync pack — and a temporary pack is built per call.
-  /// The 6-argument overload additionally reuses caller-maintained
-  /// quantized mirrors when config.precision != kFloat32 (a stale or
-  /// wrong-width mirror is ignored; the seek then quantizes the scanned
-  /// spans one-shot per call — correct, just not amortized).
+  /// The 4-argument overload reuses caller-maintained packs for every
+  /// recency offset and both slide passes; a side passed as nullptr — or as
+  /// an out-of-sync pack — is packed once per call (only the channel rows
+  /// the offsets' plans select), never per offset.
   [[nodiscard]] std::vector<SynPoint> find(const ContextTrajectory& a,
                                            const ContextTrajectory& b) const;
   [[nodiscard]] std::vector<SynPoint> find(const ContextTrajectory& a,
                                            const ContextTrajectory& b,
                                            const PackedContext* pack_a,
                                            const PackedContext* pack_b) const;
-  [[nodiscard]] std::vector<SynPoint> find(
-      const ContextTrajectory& a, const ContextTrajectory& b,
-      const PackedContext* pack_a, const PackedContext* pack_b,
-      const QuantizedPack* qpack_a, const QuantizedPack* qpack_b) const;
 
   /// One double-sliding pass where the fixed recent segments END
-  /// `recency_offset_m` metres before the newest entry.
+  /// `recency_offset_m` metres before the newest entry. Packs the planned
+  /// rows of a side the caller did not supply (or supplied stale).
   [[nodiscard]] std::optional<SynPoint> find_one(
       const ContextTrajectory& a, const ContextTrajectory& b,
       std::size_t recency_offset_m = 0) const;
@@ -146,20 +123,14 @@ class SynSeeker {
       const ContextTrajectory& a, const ContextTrajectory& b,
       std::size_t recency_offset_m, const PackedContext* pack_a,
       const PackedContext* pack_b) const;
-  [[nodiscard]] std::optional<SynPoint> find_one(
-      const ContextTrajectory& a, const ContextTrajectory& b,
-      std::size_t recency_offset_m, const PackedContext* pack_a,
-      const PackedContext* pack_b, const QuantizedPack* qpack_a,
-      const QuantizedPack* qpack_b) const;
   /// Scratch-reusing form: plans through the caller's SeekPlan and channel
   /// workspace (see plan_into), so a steady-state full search against
-  /// stable-width trajectories performs no dynamic allocation. Identical
-  /// results to the allocating overloads.
+  /// stable-width trajectories with in-sync packs performs no dynamic
+  /// allocation. Identical results to the allocating overloads.
   [[nodiscard]] std::optional<SynPoint> find_one(
       const ContextTrajectory& a, const ContextTrajectory& b,
       std::size_t recency_offset_m, const PackedContext* pack_a,
-      const PackedContext* pack_b, const QuantizedPack* qpack_a,
-      const QuantizedPack* qpack_b, SeekPlan& plan_scratch,
+      const PackedContext* pack_b, SeekPlan& plan_scratch,
       ChannelSelectScratch& chan_scratch) const;
 
   [[nodiscard]] SeekPlan plan(const ContextTrajectory& a,
@@ -180,10 +151,9 @@ class SynSeeker {
       std::size_t available_a, std::size_t available_b) const;
 
   /// Best correlation over the slide-position indices [pos_lo, pos_hi) on
-  /// the stride grid (position metres = index * stride_m); scored through
-  /// the precision-dispatched kernel (pair.precision) in ascending
-  /// kLagBlock-position blocks, ties resolve to the lowest position
-  /// (bit-identical to a serial per-position scan at every precision).
+  /// the stride grid (position metres = index * stride_m); scored in
+  /// ascending kLagBlock-position blocks, ties resolve to the lowest
+  /// position (bit-identical to a serial per-position scan).
   /// pos_hi is clamped to the valid position count. Used by the pool
   /// chunks, the coarse-to-fine refinement, and SynCache's narrow tracking
   /// re-verification (whose ±verify_radius band is a single natural batch).
@@ -195,6 +165,14 @@ class SynSeeker {
   [[nodiscard]] const SynConfig& config() const noexcept { return config_; }
 
  private:
+  /// The seek of one planned recency offset: both slide passes and the
+  /// accept rule. Unless `p` is rejected, `pack_a`/`pack_b` must hold the
+  /// plan's channel rows (pack_missing_sides prepares them).
+  [[nodiscard]] std::optional<SynPoint> seek_planned(
+      const ContextTrajectory& a, const ContextTrajectory& b,
+      std::size_t recency_offset_m, const SeekPlan& p,
+      const PackedContext* pack_a, const PackedContext* pack_b) const;
+
   /// Slide a fixed window (starting at pair.fixed_start in the fixed pack)
   /// across all of the sliding pack; returns the best position in metres.
   [[nodiscard]] Candidate slide(const ScanPair& pair,
@@ -207,7 +185,7 @@ class SynSeeker {
   /// metre_step = coarse*stride_m with index_step = coarse (position as a
   /// fine-grid INDEX, which is what the refinement stage consumes).
   /// Ascending blocks of kLagBlock positions through
-  /// scan_correlation_batch; the trailing partial block is rescored as an
+  /// quantized_correlation_batch; the trailing partial block is rescored as an
   /// overlapped full block — recomputed lanes are bit-identical and an
   /// equal score can never displace an earlier (lower) position, so the
   /// lowest-position tie-break survives.
@@ -220,10 +198,6 @@ class SynSeeker {
 
   SynConfig config_;
   util::ThreadPool* pool_;
-  /// Identity row map 0..top_channels-1, built once so fallback seeks
-  /// (SubsetPack views) don't heap-allocate per call; find_one takes
-  /// prefix subspans of it.
-  std::vector<std::size_t> identity_rows_;
 };
 
 }  // namespace rups::core

@@ -41,6 +41,12 @@ class PowerVector {
     return state_[channel] ==
            static_cast<std::uint8_t>(ChannelState::kMeasured);
   }
+  /// Contiguous per-channel values and ChannelState bytes, for readers
+  /// that scan whole vectors (the SYN packer).
+  [[nodiscard]] const float* values() const noexcept { return rssi_.data(); }
+  [[nodiscard]] const std::uint8_t* states() const noexcept {
+    return state_.data();
+  }
 
   [[nodiscard]] std::size_t usable_count() const noexcept;
   [[nodiscard]] std::size_t measured_count() const noexcept;

@@ -89,18 +89,29 @@ void type_header(std::string& out, std::string& last_base,
   out += "# TYPE " + base + " " + type + "\n";
 }
 
+/// " <value>\n" after a sample name. Appended piecewise: GCC 12
+/// misreports `" " + std::string` here as an overlapping memcpy
+/// (-Wrestrict) once inlined.
+void append_value(std::string& out, const std::string& value) {
+  out += ' ';
+  out += value;
+  out += '\n';
+}
+
 }  // namespace
 
 std::string sanitize_metric_name(std::string_view name) {
   std::string out;
   out.reserve(name.size() + 1);
+  // An empty name or a leading digit gets a '_' prefix. Decided up front:
+  // GCC 12 misreports a later insert at begin() as an overlapping memcpy
+  // (-Wrestrict) once this is inlined.
+  if (name.empty() || (name[0] >= '0' && name[0] <= '9')) out.push_back('_');
   for (const char c : name) {
     const bool legal = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                        (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += legal ? c : '_';
+    out.push_back(legal ? c : '_');
   }
-  if (out.empty()) out = "_";
-  if (out[0] >= '0' && out[0] <= '9') out.insert(out.begin(), '_');
   return out;
 }
 
@@ -113,7 +124,7 @@ std::string render_prometheus(const MetricsSnapshot& snap) {
     type_header(out, last_base, cell.base, "counter");
     out += cell.base;
     if (!cell.label.empty()) out += "{" + cell.label + "}";
-    out += " " + std::to_string(c.value) + "\n";
+    append_value(out, std::to_string(c.value));
   }
 
   last_base.clear();
@@ -122,7 +133,7 @@ std::string render_prometheus(const MetricsSnapshot& snap) {
     type_header(out, last_base, cell.base, "gauge");
     out += cell.base;
     if (!cell.label.empty()) out += "{" + cell.label + "}";
-    out += " " + num(g.value) + "\n";
+    append_value(out, num(g.value));
   }
 
   last_base.clear();
@@ -145,10 +156,10 @@ std::string render_prometheus(const MetricsSnapshot& snap) {
     }
     out += cell.base + "_sum";
     if (!cell.label.empty()) out += "{" + cell.label + "}";
-    out += " " + num(h.sum) + "\n";
+    append_value(out, num(h.sum));
     out += cell.base + "_count";
     if (!cell.label.empty()) out += "{" + cell.label + "}";
-    out += " " + std::to_string(h.count) + "\n";
+    append_value(out, std::to_string(h.count));
   }
 
   return out;

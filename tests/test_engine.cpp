@@ -8,6 +8,8 @@
 
 #include <cmath>
 
+#include "core/packed.hpp"
+#include "obs/metrics.hpp"
 #include "util/hash_noise.hpp"
 #include "util/rng.hpp"
 
@@ -165,6 +167,37 @@ TEST(Engine, ParallelQueryMatchesSequential) {
   ASSERT_TRUE(seq.has_value());
   ASSERT_TRUE(par.has_value());
   EXPECT_DOUBLE_EQ(seq->distance_m, par->distance_m);
+}
+
+TEST(Engine, EstimatePacksEachSideAtMostOncePerQuery) {
+#ifdef RUPS_OBS_DISABLED
+  GTEST_SKIP() << "syn.columns_packed compiles to a no-op";
+#endif
+  // A 5-SYN query runs ten slide passes; each side must be packed once for
+  // all of them. The engine's own pack is synced incrementally, so a repeat
+  // query against an unchanged neighbour re-packs only the engine's
+  // volatile suffix (no growth in between) plus one full neighbour pack.
+  RupsConfig cfg = test_config();
+  cfg.syn.syn_points = 5;
+  cfg.syn.syn_segment_spacing_m = 20;
+  RupsEngine rear(cfg);
+  RupsEngine front(cfg);
+  drive(rear, 0.0, 300.0, 10.0, 13);
+  drive(front, 50.0, 300.0, 10.0, 14);
+  const obs::Counter& packed =
+      obs::Registry::global().counter("syn.columns_packed");
+  const std::size_t own = rear.context().size();
+  const std::size_t neighbour = front.context().size();
+
+  std::uint64_t before = packed.value();
+  ASSERT_TRUE(rear.estimate_distance(front.context()).has_value());
+  EXPECT_EQ(packed.value() - before, own + neighbour);
+
+  before = packed.value();
+  ASSERT_TRUE(rear.estimate_distance(front.context()).has_value());
+  const std::uint64_t repeat = packed.value() - before;
+  EXPECT_GE(repeat, neighbour);
+  EXPECT_LE(repeat, neighbour + PackedContext::kDefaultVolatileSuffixM);
 }
 
 }  // namespace

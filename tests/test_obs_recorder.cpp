@@ -179,7 +179,9 @@ TEST(FlightRecorder, ConcurrentAppendSnapshotAndDump) {
     bool have_seq = false;
     std::map<std::string, double> last_v0;
     for (const auto& e : ev) {
-      if (have_seq) ASSERT_GT(e.seq, last_seq);  // global order, no dupes
+      if (have_seq) {
+        ASSERT_GT(e.seq, last_seq);  // global order, no dupes
+      }
       last_seq = e.seq;
       have_seq = true;
       const std::string label = e.label;

@@ -1,7 +1,8 @@
-#include "core/packed.hpp"
+#include "core/quant.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -9,13 +10,13 @@
 #include "core/types.hpp"
 #include "util/rng.hpp"
 
-// Pins the lag-batched kernel's contract: packed_correlation_batch (and
-// every explicit lane width) scores each position BIT-IDENTICALLY to a
-// per-position packed_correlation call, across randomized window sizes,
-// position strides, row maps (identity, channel-id, out-of-range, k > 128),
-// partial usability masks, and block-boundary/remainder batch shapes. The
-// determinism guarantees of SynSeeker / SynCache / FleetEngine all reduce
-// to this property.
+// Pins the batched kernel's contract: quantized_correlation_batch (and any
+// chunking of a scan into smaller batches) scores each position
+// BIT-IDENTICALLY to a per-position quantized_correlation call, across
+// randomized window sizes, position strides, row maps (identity,
+// channel-id, out-of-range, k > 128), partial usability masks, and
+// block-boundary/remainder batch shapes. The determinism guarantees of
+// SynSeeker / SynCache / FleetEngine all reduce to this property.
 
 namespace rups::core {
 namespace {
@@ -41,6 +42,13 @@ std::vector<std::size_t> identity_rows(std::size_t k) {
   return rows;
 }
 
+/// One-shot pack of a trajectory.
+PackedContext pack_of(const ContextTrajectory& t) {
+  PackedContext p;
+  p.sync(t);
+  return p;
+}
+
 /// memcmp-strict equality: EXPECT_EQ on doubles would already reject any
 /// value difference, but byte comparison also pins the sign of zero.
 void expect_bit_equal(double want, double got, const char* what,
@@ -57,10 +65,10 @@ void expect_batch_matches_scalar(const PackedView& fixed,
                                  const TrajectoryCorrelationConfig& config,
                                  const char* what) {
   std::vector<double> got(pos_count, 0.0);
-  packed_correlation_batch(fixed, fixed_start, sliding, pos_lo, pos_count,
-                           window, config, got.data(), stride);
+  quantized_correlation_batch(fixed, fixed_start, sliding, pos_lo, pos_count,
+                              window, config, got.data(), stride);
   for (std::size_t q = 0; q < pos_count; ++q) {
-    const double want = packed_correlation(
+    const double want = quantized_correlation(
         fixed, fixed_start, sliding, pos_lo + q * stride, window, config);
     expect_bit_equal(want, got[q], what, q);
   }
@@ -96,9 +104,9 @@ TEST(PackedBatch, RandomizedWindowsStridesMasksAndRemainders) {
     const auto fa = random_context(rng, window + 4, channels, usable);
     const auto sb = random_context(rng, sliding_metres, channels, usable);
     const auto rows = identity_rows(channels);
-    const SubsetPack fixed_pack(fa, rows, 2, window);
-    const SubsetPack slide_pack(sb, rows, 0, sliding_metres);
-    expect_batch_matches_scalar({fixed_pack.span(), rows}, 0,
+    const PackedContext fixed_pack = pack_of(fa);
+    const PackedContext slide_pack = pack_of(sb);
+    expect_batch_matches_scalar({fixed_pack.span(), rows}, 2,
                                 {slide_pack.span(), rows}, pos_lo, pos_count,
                                 window, stride, config, "randomized");
   }
@@ -136,18 +144,19 @@ TEST(PackedBatch, WideRowMapBeyond128Channels) {
   const auto a = random_context(rng, 90, channels, 0.8);
   const auto b = random_context(rng, 150, channels, 0.8);
   const auto rows = identity_rows(channels);
-  const SubsetPack fixed_pack(a, rows, 10, window);
-  const SubsetPack slide_pack(b, rows, 0, 150);
+  const PackedContext fixed_pack = pack_of(a);
+  const PackedContext slide_pack = pack_of(b);
   const TrajectoryCorrelationConfig config{};
-  expect_batch_matches_scalar({fixed_pack.span(), rows}, 0,
+  expect_batch_matches_scalar({fixed_pack.span(), rows}, 10,
                               {slide_pack.span(), rows}, 0, 150 - window + 1,
                               window, 1, config, "k>128");
 }
 
 TEST(PackedBatch, AllLaneWidthsAreBitIdentical) {
-  // The tuning surface: every explicit lane width (1 = per-position scalar
-  // loop) must reproduce the production batch bit-for-bit — the per-lane
-  // accumulation order never depends on the block shape.
+  // Chunking: a scan split into batches of 1, 4, 8 or 16 positions (the
+  // shapes SynSeeker's pool chunks and overlapped tails produce) must
+  // reproduce the single full-scan batch bit-for-bit — exact integer sums
+  // never depend on the block shape.
   util::Rng rng(13);
   const std::size_t channels = 30;
   const std::size_t window = 70;
@@ -155,19 +164,22 @@ TEST(PackedBatch, AllLaneWidthsAreBitIdentical) {
   const auto a = random_context(rng, window + 2, channels, 0.9);
   const auto b = random_context(rng, pos_count - 1 + window, channels, 0.9);
   const auto rows = identity_rows(channels);
-  const SubsetPack fixed_pack(a, rows, 0, window);
-  const SubsetPack slide_pack(b, rows, 0, pos_count - 1 + window);
+  const PackedContext fixed_pack = pack_of(a);
+  const PackedContext slide_pack = pack_of(b);
   const PackedView fixed{fixed_pack.span(), rows};
   const PackedView sliding{slide_pack.span(), rows};
   const TrajectoryCorrelationConfig config{};
 
   std::vector<double> want(pos_count, 0.0);
-  packed_correlation_batch(fixed, 0, sliding, 0, pos_count, window, config,
-                           want.data());
+  quantized_correlation_batch(fixed, 0, sliding, 0, pos_count, window,
+                              config, want.data());
   for (const std::size_t lanes : {1UL, 4UL, 8UL, 16UL}) {
     std::vector<double> got(pos_count, 0.0);
-    packed_correlation_batch_lanes(lanes, fixed, 0, sliding, 0, pos_count,
-                                   window, config, got.data());
+    for (std::size_t q = 0; q < pos_count; q += lanes) {
+      quantized_correlation_batch(fixed, 0, sliding, q,
+                                  std::min(lanes, pos_count - q), window,
+                                  config, got.data() + q);
+    }
     for (std::size_t q = 0; q < pos_count; ++q) {
       expect_bit_equal(want[q], got[q], "lane width", q);
     }

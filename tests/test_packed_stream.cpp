@@ -1,9 +1,11 @@
 // Per-metre streaming stress of PackedContext::sync: retro-fill (binder
 // back-filling interpolated channels behind the head) interleaved with
 // append-driven front eviction, one metre at a time — the §17 ingest
-// cadence. At every step the incrementally-maintained pack must be
-// bit-identical to a cold pack built from scratch; a stale volatile-suffix
-// repack or a mis-advanced eviction base shows up as a float mismatch.
+// cadence — plus outliers that push the value range off the quantization
+// grid and back. At every step the incrementally-maintained int16 pack must
+// be bit-identical to a cold pack built from scratch; a stale
+// volatile-suffix repack, a mis-advanced eviction base or a missed
+// requantize shows up as a cell or grid mismatch.
 // Runs under ASan in the verify matrix, so buffer arithmetic bugs in the
 // compaction path fault loudly.
 
@@ -75,21 +77,15 @@ void expect_pack_matches_cold(const core::PackedContext& incremental,
   ASSERT_EQ(a.metres, b.metres) << "step " << step;
   ASSERT_EQ(a.channels, b.channels) << "step " << step;
   ASSERT_EQ(incremental.first_metre(), cold.first_metre()) << "step " << step;
+  // Bitwise grid comparison: a stale grid is usually a SMALL drift,
+  // exactly what tolerance-based checks miss.
+  ASSERT_EQ(std::memcmp(&a.params, &b.params, sizeof(a.params)), 0)
+      << "grid stale at step " << step;
   for (std::size_t c = 0; c < a.channels; ++c) {
-    const float* ax = a.x + c * a.stride;
-    const float* bx = b.x + c * b.stride;
-    const float* a2 = a.x2 + c * a.stride;
-    const float* b2 = b.x2 + c * b.stride;
-    const float* av = a.v + c * a.stride;
-    const float* bv = b.v + c * b.stride;
     for (std::size_t m = 0; m < a.metres; ++m) {
-      // Bitwise comparison: a stale column is usually a SMALL value drift,
-      // exactly what tolerance-based checks miss.
-      ASSERT_EQ(std::memcmp(&ax[m], &bx[m], sizeof(float)), 0)
-          << "x stale at step " << step << " ch " << c << " m " << m;
-      ASSERT_EQ(std::memcmp(&a2[m], &b2[m], sizeof(float)), 0)
-          << "x2 stale at step " << step << " ch " << c << " m " << m;
-      ASSERT_EQ(std::memcmp(&av[m], &bv[m], sizeof(float)), 0)
+      ASSERT_EQ(a.q[c * a.stride + m], b.q[c * b.stride + m])
+          << "q stale at step " << step << " ch " << c << " m " << m;
+      ASSERT_EQ(a.v[c * a.stride + m], b.v[c * b.stride + m])
           << "v stale at step " << step << " ch " << c << " m " << m;
     }
   }
@@ -154,6 +150,33 @@ TEST(PackedStream, RetroFillDeeperThanSuffixForcesDetectableRepack) {
     (void)pack.sync(t);
     expect_pack_matches_cold(pack, t, step);
   }
+}
+
+TEST(PackedStream, GridExitAndReturnStayBitIdenticalToColdPack) {
+  // Every 80th metre carries a +40 dB outlier: appending it moves the value
+  // range off the grid (full requantize), and evicting it kCapacity metres
+  // later moves the range back (another full requantize). Both directions
+  // must land on exactly the cold pack's grid and cells.
+  core::ContextTrajectory t(kChannels, kCapacity);
+  core::PackedContext pack;
+  std::size_t requantizes = 0;
+  for (std::uint64_t step = 0; step < 400; ++step) {
+    append_metre(t);
+    if (step % 80 == 40) {
+      t.mutable_power(t.size() - 1)
+          .set(step % kChannels, -15.0f, core::ChannelState::kMeasured);
+    }
+    retro_fill(t, step);
+    const core::QuantParams before = pack.params();
+    const std::size_t packed = pack.sync(t);
+    if (!(pack.params() == before) && step > 0) {
+      EXPECT_EQ(packed, t.size()) << "step " << step;
+      ++requantizes;
+    }
+    expect_pack_matches_cold(pack, t, step);
+  }
+  // Five outliers in, five out (the first arrives before any eviction).
+  EXPECT_GE(requantizes, 9u);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/syn_seeker.hpp"
@@ -10,9 +12,10 @@
 #include "util/rng.hpp"
 
 // Pins the packed-window reuse contract: a PackedContext kept in sync
-// incrementally (appends, retro-fills, evictions) must be byte-equivalent
-// to packing the trajectory from scratch, and a SYN search fed pre-synced
-// packs must return BIT-IDENTICAL results to the pack-free path. The
+// incrementally (appends, retro-fills, evictions, grid exits) must be
+// bit-equal to a one-shot pack of the same trajectory — same grid, same
+// int16 cells — and a SYN search fed pre-synced packs must return
+// BIT-IDENTICAL results to a search that packs both sides itself. The
 // engine's pack-reuse fast path and SynCache's tracking mode both stand on
 // these two properties.
 
@@ -58,27 +61,35 @@ void append_one(ContextTrajectory& t, std::uint64_t road_seed,
   t.append(GeoSample{}, std::move(pv));
 }
 
-/// Element-wise equality of a pack against the trajectory it claims to
-/// mirror (x = value + shift, x2 = x*x, v = usability mask).
+/// Bit-equality of a pack against a one-shot pack of the trajectory it
+/// claims to mirror, plus the one-shot pack's fidelity: every usable value
+/// decodes to within half a grid step, every other cell is (q, v) = (0, 0).
 void expect_pack_matches(const PackedContext& pack,
                          const ContextTrajectory& t) {
   ASSERT_TRUE(pack.in_sync_with(t));
+  PackedContext fresh;
+  fresh.sync(t);
   const PackedSpan s = pack.span();
+  const PackedSpan f = fresh.span();
   ASSERT_EQ(s.metres, t.size());
   ASSERT_EQ(s.channels, t.channels());
+  ASSERT_EQ(s.params, f.params);
   for (std::size_t c = 0; c < s.channels; ++c) {
     for (std::size_t i = 0; i < s.metres; ++i) {
+      const int q = s.q[c * s.stride + i];
+      const int v = s.v[c * s.stride + i];
+      EXPECT_EQ(q, f.q[c * f.stride + i]) << "channel " << c << " metre " << i;
+      EXPECT_EQ(v, f.v[c * f.stride + i]) << "channel " << c << " metre " << i;
       const PowerVector& pv = t.power(i);
-      const float x = s.x[c * s.stride + i];
-      const float v = s.v[c * s.stride + i];
       if (c < pv.channels() && pv.usable(c)) {
-        const float want = pv.at(c) + kPackShiftDbm;
-        EXPECT_EQ(x, want) << "channel " << c << " metre " << i;
-        EXPECT_EQ(s.x2[c * s.stride + i], want * want);
-        EXPECT_EQ(v, 1.0f);
+        const double back = s.params.offset + q * s.params.step;
+        EXPECT_LE(std::abs(back - static_cast<double>(pv.at(c))),
+                  0.5 * s.params.step + 1e-9)
+            << "channel " << c << " metre " << i;
+        EXPECT_EQ(v, 1);
       } else {
-        EXPECT_EQ(x, 0.0f);
-        EXPECT_EQ(v, 0.0f);
+        EXPECT_EQ(q, 0);
+        EXPECT_EQ(v, 0);
       }
     }
   }
@@ -94,10 +105,7 @@ TEST(PackedContext, IncrementalAppendMatchesFreshPack) {
   for (int step = 0; step < 40; ++step) {
     append_one(t, 1, 0, rng);
     incremental.sync(t);
-    PackedContext fresh;
-    fresh.sync(t);
     expect_pack_matches(incremental, t);
-    expect_pack_matches(fresh, t);
   }
 }
 
@@ -144,6 +152,54 @@ TEST(PackedContext, WidthChangeForcesConsistentRepack) {
   EXPECT_FALSE(pack.in_sync_with(t16));
 }
 
+TEST(PackedContext, GridExitRequantizesEveryColumn) {
+  auto t = drive(5, 0, 120, 16, 400, 19);
+  PackedContext pack;
+  pack.sync(t);
+  const QuantParams before = pack.params();
+
+  // A metre that repeats an existing one keeps the value range, hence the
+  // grid: only the new column and the volatile suffix are re-packed.
+  t.append(GeoSample{}, PowerVector(t.power(0)));
+  EXPECT_EQ(pack.sync(t), 1 + PackedContext::kDefaultVolatileSuffixM);
+  EXPECT_EQ(pack.params(), before);
+  expect_pack_matches(pack, t);
+
+  // A value far above the road's range leaves the grid: every column is
+  // requantized onto the new grid.
+  PowerVector loud(t.power(1));
+  loud.set(2, -10.0f);
+  t.append(GeoSample{}, std::move(loud));
+  EXPECT_EQ(pack.sync(t), t.size());
+  EXPECT_FALSE(pack.params() == before);
+  expect_pack_matches(pack, t);
+}
+
+TEST(PackedContext, RowSubsetPackMatchesFullPackOnItsRows) {
+  // A seek packs a side it was not given only on the rows its plans read;
+  // those rows must be bit-equal to a full pack's (same grid), the pack
+  // never counts as in sync (other rows are unpacked), and the next sync
+  // must repack every row.
+  auto t = drive(6, 0, 150, 20, 400, 23);
+  PackedContext full;
+  full.sync(t);
+  const std::vector<std::size_t> rows = {1, 4, 5, 11, 19};
+  PackedContext subset;
+  subset.pack_rows(t, rows);
+  EXPECT_FALSE(subset.in_sync_with(t));
+  const PackedSpan s = subset.span();
+  const PackedSpan f = full.span();
+  ASSERT_EQ(s.params, f.params);
+  for (const std::size_t c : rows) {
+    for (std::size_t i = 0; i < s.metres; ++i) {
+      EXPECT_EQ(s.q[c * s.stride + i], f.q[c * f.stride + i]);
+      EXPECT_EQ(s.v[c * s.stride + i], f.v[c * f.stride + i]);
+    }
+  }
+  EXPECT_EQ(subset.sync(t), t.size());
+  expect_pack_matches(subset, t);
+}
+
 SynConfig small_config() {
   SynConfig cfg;
   cfg.window_m = 40;
@@ -152,10 +208,45 @@ SynConfig small_config() {
   return cfg;
 }
 
+TEST(PackedSearch, RowSubsetPackForOtherRowsIsRepackedNotRead) {
+  // A caller's pack_rows() pack holds only its own rows. Handed to a seek
+  // whose plan reads other rows, it must be repacked, never read. Its
+  // buffer first held a full pack of another road, so a read of an
+  // unpacked row would score that road's values.
+  const auto a = drive(21, 0, 260, 60, 400, 31);
+  const auto b = drive(21, 45, 260, 60, 400, 32);
+  const SynSeeker seeker(small_config());
+  const SynSeeker::SeekPlan plan = seeker.plan(a, b, 0);
+  ASSERT_EQ(plan.reject, nullptr);
+  std::vector<std::size_t> other_rows;
+  for (std::size_t c = 0; c < a.channels(); ++c) {
+    const auto reads = [c](const std::vector<std::size_t>& v) {
+      return std::find(v.begin(), v.end(), c) != v.end();
+    };
+    if (!reads(plan.channels_a) && !reads(plan.channels_b)) {
+      other_rows.push_back(c);
+    }
+  }
+  ASSERT_FALSE(other_rows.empty());
+
+  PackedContext pa;
+  pa.sync(drive(77, 0, 260, 60, 400, 5));
+  pa.pack_rows(a, other_rows);
+  ASSERT_FALSE(pa.in_sync_with(a));
+
+  const auto plain = seeker.find_one(a, b, 0);
+  const auto given = seeker.find_one(a, b, 0, &pa, nullptr);
+  ASSERT_TRUE(plain.has_value());
+  ASSERT_TRUE(given.has_value());
+  EXPECT_EQ(plain->index_a, given->index_a);
+  EXPECT_EQ(plain->index_b, given->index_b);
+  EXPECT_EQ(plain->correlation, given->correlation);
+}
+
 TEST(PackedSearch, PackedAndUnpackedSearchesAreBitIdentical) {
-  // The packed (all-channel, row-mapped) and unpacked (per-query subset
-  // pack) layouts must score every window identically — the determinism
-  // guarantees of FleetEngine/SynCache rest on this.
+  // Caller-maintained packs and the packs a seek builds for itself must
+  // score every window identically — the determinism guarantees of
+  // FleetEngine/SynCache rest on this.
   const auto a = drive(21, 0, 260, 30, 400, 31);
   const auto b = drive(21, 45, 260, 30, 400, 32);
   SynConfig cfg = small_config();

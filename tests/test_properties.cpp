@@ -116,7 +116,9 @@ TEST_P(PropertySweep, TrajectoryCorrelationBoundedAndSelfMaximal) {
                                                   chans);
     EXPECT_GE(r, -2.0);
     EXPECT_LE(r, 2.0 + 1e-9);
-    if (s1 == s2 && r > -2.0) EXPECT_NEAR(r, 2.0, 1e-6);
+    if (s1 == s2 && r > -2.0) {
+      EXPECT_NEAR(r, 2.0, 1e-6);
+    }
   }
 }
 

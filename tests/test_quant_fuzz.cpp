@@ -11,14 +11,16 @@
 #include "core/types.hpp"
 #include "util/rng.hpp"
 
-// Fuzz harness for the quantized pack builder (ISSUE 8 satellite): random,
-// NaN, ±inf and wildly out-of-range dBm inputs pushed through one-shot
-// builds AND incremental sync cycles must clamp or mask — never UB. Runs in
-// the asan-ubsan verify_matrix.sh lane next to test_codec_fuzz, so "no UB"
-// is checked by the sanitizers while the assertions below pin the
-// semantics: q on the grid, v strictly 0/1, q == 0 wherever v == 0, finite
-// affine params, and every correlation of fuzzed packs finite or the -2
-// sentinel.
+// Fuzz harness for the int16 pack builder: random, NaN, ±inf and wildly
+// out-of-range dBm inputs pushed through one-shot packs AND incremental
+// sync cycles must clamp or mask — never UB. Runs in the asan-ubsan
+// verify_matrix.sh lane next to test_codec_fuzz, so "no UB" is checked by
+// the sanitizers while the assertions below pin the semantics: q on the
+// grid, v strictly 0/1, q == 0 wherever v == 0, finite affine params, an
+// incremental pack bit-equal to a one-shot pack, and every correlation of
+// fuzzed packs finite or the -2 sentinel. A randomized sweep over
+// physically plausible inputs additionally tracks the scalar double
+// reference trajectory_correlation() within DESIGN §15's bound.
 
 namespace rups::core {
 namespace {
@@ -48,8 +50,7 @@ ContextTrajectory fuzz_context(util::Rng& rng, std::size_t metres,
   return t;
 }
 
-template <typename Span>
-void check_invariants(const Span& s, int qmax, const char* what) {
+void check_invariants(const PackedSpan& s, const char* what) {
   EXPECT_TRUE(std::isfinite(s.params.offset)) << what;
   EXPECT_TRUE(std::isfinite(s.params.step)) << what;
   EXPECT_GT(s.params.step, 0.0) << what;
@@ -58,7 +59,7 @@ void check_invariants(const Span& s, int qmax, const char* what) {
       const int q = s.q[c * s.stride + i];
       const int v = s.v[c * s.stride + i];
       EXPECT_TRUE(v == 0 || v == 1) << what;
-      EXPECT_LE(std::abs(q), qmax) << what;
+      EXPECT_LE(std::abs(q), kQuantMax) << what;
       if (v == 0) {
         EXPECT_EQ(q, 0) << what;
       }
@@ -74,22 +75,16 @@ TEST(QuantFuzz, OneShotBuildsNeverProduceGarbage) {
     const std::size_t metres =
         4 + static_cast<std::size_t>(rng.uniform() * 200.0);
     const auto t = fuzz_context(rng, metres, channels);
-    std::vector<std::size_t> ids(channels);
-    std::iota(ids.begin(), ids.end(), std::size_t{0});
-    const SubsetPack pack(t, ids, 0, metres);
-    QuantizedPack q16, q8;
-    q16.build(pack.span(), QuantBits::kInt16);
-    q8.build(pack.span(), QuantBits::kInt8);
-    check_invariants(q16.span16(), kQuantMax16, "int16 build");
-    check_invariants(q8.span8(), kQuantMax8, "int8 build");
-    // Non-finite inputs must be masked invalid even where the float pack
-    // kept the entry usable.
-    const PackedSpan fs = pack.span();
-    const QuantSpan16 qs = q16.span16();
+    PackedContext pack;
+    pack.sync(t);
+    check_invariants(pack.span(), "one-shot");
+    // Non-finite inputs must be masked invalid even where the trajectory
+    // marks the entry usable.
+    const PackedSpan s = pack.span();
     for (std::size_t c = 0; c < channels; ++c) {
       for (std::size_t i = 0; i < metres; ++i) {
-        if (!std::isfinite(fs.x[c * fs.stride + i])) {
-          EXPECT_EQ(qs.v[c * qs.stride + i], 0);
+        if (!std::isfinite(t.power(i).at(c))) {
+          EXPECT_EQ(s.v[c * s.stride + i], 0);
         }
       }
     }
@@ -102,11 +97,9 @@ TEST(QuantFuzz, SyncCyclesStayOnGrid) {
     const std::size_t channels = 12;
     ContextTrajectory t(channels, 160);
     PackedContext pack;
-    QuantizedPack q16, q8;
-    std::size_t metres = 0;
     for (int round = 0; round < 12; ++round) {
-      // Grow by a fuzzed stretch, then sync both mirrors; eviction kicks in
-      // once the trajectory wraps its capacity.
+      // Grow by a fuzzed stretch, then sync; eviction kicks in once the
+      // trajectory wraps its capacity.
       const std::size_t grow =
           1 + static_cast<std::size_t>(rng.uniform() * 40.0);
       for (std::size_t g = 0; g < grow; ++g) {
@@ -116,15 +109,23 @@ TEST(QuantFuzz, SyncCyclesStayOnGrid) {
           pv.set(c, fuzz_dbm(rng));
         }
         t.append(GeoSample{}, std::move(pv));
-        ++metres;
       }
       pack.sync(t);
-      q16.sync(pack, QuantBits::kInt16);
-      q8.sync(pack, QuantBits::kInt8);
-      ASSERT_TRUE(q16.mirrors(pack, QuantBits::kInt16));
-      ASSERT_TRUE(q8.mirrors(pack, QuantBits::kInt8));
-      check_invariants(q16.span16(), kQuantMax16, "int16 sync");
-      check_invariants(q8.span8(), kQuantMax8, "int8 sync");
+      ASSERT_TRUE(pack.in_sync_with(t));
+      check_invariants(pack.span(), "sync");
+      // Whatever the fuzzed values did to the grid, the incremental pack
+      // is the one-shot pack of the same trajectory.
+      PackedContext cold;
+      cold.sync(t);
+      const PackedSpan a = pack.span();
+      const PackedSpan b = cold.span();
+      ASSERT_EQ(a.params, b.params) << "round " << round;
+      for (std::size_t c = 0; c < channels; ++c) {
+        for (std::size_t i = 0; i < a.metres; ++i) {
+          ASSERT_EQ(a.q[c * a.stride + i], b.q[c * b.stride + i]);
+          ASSERT_EQ(a.v[c * a.stride + i], b.v[c * b.stride + i]);
+        }
+      }
     }
   }
 }
@@ -137,21 +138,16 @@ TEST(QuantFuzz, FuzzedCorrelationsFiniteOrSentinel) {
     const std::size_t window =
         8 + static_cast<std::size_t>(rng.uniform() * 60.0);
     const std::size_t metres = window + 50;
-    const auto ft = fuzz_context(rng, window, channels);
-    const auto st = fuzz_context(rng, metres, channels);
+    PackedContext fpack;
+    PackedContext spack;
+    fpack.sync(fuzz_context(rng, window, channels));
+    spack.sync(fuzz_context(rng, metres, channels));
     std::vector<std::size_t> ids(channels);
     std::iota(ids.begin(), ids.end(), std::size_t{0});
-    const SubsetPack fpack(ft, ids, 0, window);
-    const SubsetPack spack(st, ids, 0, metres);
-    QuantizedPack qf, qs;
-    qf.build(fpack.span(), QuantBits::kInt16);
-    qs.build(spack.span(), QuantBits::kInt16);
-    const QuantView16 fv{qf.span16(), ids};
-    const QuantView16 sv{qs.span16(), ids};
     const std::size_t pos_count = metres - window + 1;
     std::vector<double> scores(pos_count);
-    quantized_correlation_batch<std::int16_t>(fv, 0, sv, 0, pos_count, window,
-                                              config, scores.data());
+    quantized_correlation_batch({fpack.span(), ids}, 0, {spack.span(), ids},
+                                0, pos_count, window, config, scores.data());
     for (std::size_t q = 0; q < pos_count; ++q) {
       EXPECT_TRUE(std::isfinite(scores[q])) << "pos " << q;
       // The profile Pearson term is not clamped, so allow an ulp of
@@ -159,6 +155,74 @@ TEST(QuantFuzz, FuzzedCorrelationsFiniteOrSentinel) {
       EXPECT_GE(scores[q], -2.0 - 1e-9) << "pos " << q;
       EXPECT_LE(scores[q], 2.0 + 1e-9) << "pos " << q;
     }
+  }
+}
+
+TEST(QuantFuzz, PlausibleInputsTrackScalarReference) {
+  // Randomized shapes, masks and dBm ranges (a weak -120 dBm floor up to
+  // strong +10 dBm outliers) with a genuine peak in every scan: the int16
+  // score stays within DESIGN §15's bound of the double reference, the
+  // "no score" sentinel agrees exactly, and the argmax is identical.
+  util::Rng rng(0xD1FF);
+  const TrajectoryCorrelationConfig config{};
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t channels =
+        6 + static_cast<std::size_t>(rng.uniform() * 40.0);
+    const std::size_t window =
+        12 + static_cast<std::size_t>(rng.uniform() * 110.0);
+    const std::size_t metres =
+        window + 16 + static_cast<std::size_t>(rng.uniform() * 120.0);
+    const double usable = 0.3 + 0.7 * rng.uniform();
+    const double lo = -120.0 + 40.0 * rng.uniform();
+    const double span = 5.0 + 125.0 * rng.uniform();
+    ContextTrajectory st(channels, metres);
+    for (std::size_t i = 0; i < metres; ++i) {
+      PowerVector pv(channels);
+      for (std::size_t c = 0; c < channels; ++c) {
+        if (rng.uniform() > usable) continue;
+        pv.set(c, static_cast<float>(lo + span * rng.uniform()));
+      }
+      st.append(GeoSample{}, std::move(pv));
+    }
+    const std::size_t peak = static_cast<std::size_t>(
+        rng.uniform() * static_cast<double>(metres - window));
+    ContextTrajectory ft(channels, window);
+    for (std::size_t i = 0; i < window; ++i) {
+      PowerVector pv(channels);
+      for (std::size_t c = 0; c < channels; ++c) {
+        if (!st.power(peak + i).usable(c)) continue;
+        pv.set(c, static_cast<float>(st.power(peak + i).at(c) +
+                                     rng.gaussian(0.0, 0.02 * span)));
+      }
+      ft.append(GeoSample{}, std::move(pv));
+    }
+    PackedContext fpack;
+    PackedContext spack;
+    fpack.sync(ft);
+    spack.sync(st);
+    std::vector<std::size_t> ids(channels);
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+    const std::size_t pos_count = metres - window + 1;
+    std::vector<double> got(pos_count);
+    quantized_correlation_batch({fpack.span(), ids}, 0, {spack.span(), ids},
+                                0, pos_count, window, config, got.data());
+    std::size_t best_ref = 0;
+    std::size_t best_got = 0;
+    std::vector<double> ref(pos_count);
+    for (std::size_t q = 0; q < pos_count; ++q) {
+      ref[q] = trajectory_correlation({&ft, 0}, {&st, q}, window, ids, config);
+      EXPECT_EQ(ref[q] == -2.0, got[q] == -2.0)
+          << "trial " << trial << " pos " << q;
+      if (ref[q] != -2.0) {
+        EXPECT_NEAR(got[q], ref[q], 2e-2) << "trial " << trial << " pos " << q;
+      }
+      if (ref[q] > ref[best_ref]) best_ref = q;
+      if (got[q] > got[best_got]) best_got = q;
+    }
+    // A mask too sparse to score the match leaves no peak to find.
+    if (ref[peak] == -2.0) continue;
+    EXPECT_EQ(best_ref, peak) << "trial " << trial;
+    EXPECT_EQ(best_got, peak) << "trial " << trial;
   }
 }
 

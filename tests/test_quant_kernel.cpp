@@ -10,34 +10,34 @@
 #include "core/packed.hpp"
 #include "core/syn_seeker.hpp"
 #include "core/types.hpp"
+#include "reference_seek.hpp"
 #include "util/hash_noise.hpp"
 #include "util/rng.hpp"
 
-// The quantized kernel's correctness harness (DESIGN §15):
-//   * differential sweep — randomized windows/strides/masks/k at both
-//     integer widths against the float kernel, with the score-error bound
-//     asserted and the integer accept/reject decisions (overlap,
-//     min_channels) required to match EXACTLY;
-//   * determinism — quantized batch/multi calls are memcmp-bit-identical
-//     to per-position quantized_correlation at any batch shape or stride
-//     (the quant analogue of test_packed_batch's float contract);
+// The int16 kernel's correctness harness (DESIGN §15):
+//   * differential sweep — randomized windows/strides/masks/k against the
+//     scalar double reference trajectory_correlation(), with the score
+//     error bound asserted, the integer accept/reject decisions (overlap,
+//     min_channels) required to match EXACTLY, and the argmax of a scan
+//     across a genuine peak required to be identical;
+//   * determinism — batch calls are memcmp-bit-identical to per-position
+//     quantized_correlation at any batch shape or stride;
 //   * property suite — quantization round-trip within step/2, exact score
 //     invariance under a dBm offset of the whole fleet, and argmax
 //     stability under sub-LSB input perturbation;
 //   * paper-point gate — at m=1000/w=100/k=45/10% mask the SYN estimate
-//     (matched indices and window) is identical at kFloat32, kInt16 and
-//     kInt8, end to end through SynSeeker.
+//     (matched indices and window) is identical between the int16 seek and
+//     the scalar reference seek, end to end through SynSeeker.
 
 namespace rups::core {
 namespace {
 
-// Asserted differential bounds on the eq.(2) score scale [-2, 2]. DESIGN
+// Asserted differential bound on the eq.(2) score scale [-2, 2]. DESIGN
 // §15 derives the first-order bound ~4(1+|r|)·(step/2)/sigma_min per
-// Pearson term; the measured sweep maxima are ~4e-4 (int16) and ~3.5e-3
-// (int8) at the paper point, and these constants keep an order-of-magnitude
-// margin for the adversarial shapes below (short windows, heavy masks).
-constexpr double kScoreBound16 = 2e-2;
-constexpr double kScoreBound8 = 1.5e-1;
+// Pearson term; the measured sweep maxima are ~1e-3 at the paper point, and
+// the constant keeps an order-of-magnitude margin for the adversarial
+// shapes below (short windows, heavy masks).
+constexpr double kScoreBound = 2e-2;
 
 ContextTrajectory random_context(util::Rng& rng, std::size_t metres,
                                  std::size_t channels, double usable_fraction,
@@ -56,32 +56,41 @@ ContextTrajectory random_context(util::Rng& rng, std::size_t metres,
   return t;
 }
 
+/// `metres` of `src` from `from`, each usable value jittered by N(0, sigma)
+/// — a fixed window that genuinely matches one sliding position.
+ContextTrajectory noisy_copy(util::Rng& rng, const ContextTrajectory& src,
+                             std::size_t from, std::size_t metres,
+                             double sigma) {
+  ContextTrajectory t(src.channels(), metres);
+  for (std::size_t i = 0; i < metres; ++i) {
+    PowerVector pv(src.channels());
+    for (std::size_t c = 0; c < src.channels(); ++c) {
+      if (!src.power(from + i).usable(c)) continue;
+      pv.set(c, static_cast<float>(src.power(from + i).at(c) +
+                                   rng.gaussian(0.0, sigma)));
+    }
+    t.append(GeoSample{}, std::move(pv));
+  }
+  return t;
+}
+
 std::vector<std::size_t> identity_rows(std::size_t k) {
   std::vector<std::size_t> rows(k);
   std::iota(rows.begin(), rows.end(), std::size_t{0});
   return rows;
 }
 
-/// Float + both quantized widths of one trajectory stretch.
+/// One-shot pack of a whole trajectory plus its identity row map.
 struct Operand {
-  SubsetPack pack;
-  QuantizedPack q16;
-  QuantizedPack q8;
+  PackedContext pack;
   std::vector<std::size_t> rows;
 
-  Operand(const ContextTrajectory& t, std::size_t channels, std::size_t from,
-          std::size_t len)
-      : rows(identity_rows(channels)) {
-    std::vector<std::size_t> ids(channels);
-    std::iota(ids.begin(), ids.end(), std::size_t{0});
-    pack = SubsetPack(t, ids, from, len);
-    q16.build(pack.span(), QuantBits::kInt16);
-    q8.build(pack.span(), QuantBits::kInt8);
+  explicit Operand(const ContextTrajectory& t)
+      : rows(identity_rows(t.channels())) {
+    pack.sync(t);
   }
 
-  [[nodiscard]] PackedView fview() const { return {pack.span(), rows}; }
-  [[nodiscard]] QuantView16 v16() const { return {q16.span16(), rows}; }
-  [[nodiscard]] QuantView8 v8() const { return {q8.span8(), rows}; }
+  [[nodiscard]] PackedView view() const { return {pack.span(), rows}; }
 };
 
 void expect_bit_equal(double want, double got, const char* what,
@@ -90,7 +99,15 @@ void expect_bit_equal(double want, double got, const char* what,
       << what << " lane " << q << ": want " << want << " got " << got;
 }
 
-TEST(QuantKernel, DifferentialSweepVsFloat) {
+std::size_t argmax(const std::vector<double>& s) {
+  std::size_t best = 0;
+  for (std::size_t q = 1; q < s.size(); ++q) {
+    if (s[q] > s[best]) best = q;
+  }
+  return best;
+}
+
+TEST(QuantKernel, DifferentialSweepVsReference) {
   util::Rng rng(515);
   const TrajectoryCorrelationConfig config{};
   for (int trial = 0; trial < 24; ++trial) {
@@ -102,47 +119,46 @@ TEST(QuantKernel, DifferentialSweepVsFloat) {
         1 + static_cast<std::size_t>(rng.uniform() * 4.0);
     const double usable = 0.55 + 0.4 * rng.uniform();
     const std::size_t metres = window + 70;
-    const auto fixed_t = random_context(rng, window, channels, usable);
     const auto slide_t = random_context(rng, metres, channels, usable);
-    const Operand fixed(fixed_t, channels, 0, window);
-    const Operand slide(slide_t, channels, 0, metres);
+    // The fixed window matches one grid position, so the scan crosses a
+    // genuine peak whose argmax must survive quantization.
+    const std::size_t peak =
+        stride * static_cast<std::size_t>(rng.uniform() * 70.0 / stride);
+    const auto fixed_t = noisy_copy(rng, slide_t, peak, window, 1.0);
+    const Operand fixed(fixed_t);
+    const Operand slide(slide_t);
+    const auto rows = identity_rows(channels);
 
     const std::size_t pos_count = (metres - window) / stride + 1;
-    std::vector<double> f(pos_count), s16(pos_count), s8(pos_count);
-    packed_correlation_batch(fixed.fview(), 0, slide.fview(), 0, pos_count,
-                             window, config, f.data(), stride);
-    quantized_correlation_batch<std::int16_t>(fixed.v16(), 0, slide.v16(), 0,
-                                              pos_count, window, config,
-                                              s16.data(), stride);
-    quantized_correlation_batch<std::int8_t>(fixed.v8(), 0, slide.v8(), 0,
-                                             pos_count, window, config,
-                                             s8.data(), stride);
+    std::vector<double> ref(pos_count), s16(pos_count);
+    quantized_correlation_batch(fixed.view(), 0, slide.view(), 0, pos_count,
+                                window, config, s16.data(), stride);
     for (std::size_t q = 0; q < pos_count; ++q) {
+      ref[q] = trajectory_correlation({&fixed_t, 0}, {&slide_t, q * stride},
+                                      window, rows, config);
       // Overlap and min_channels decisions are exact integer counts on the
       // shared masks — the "no score" sentinel must agree exactly.
-      EXPECT_EQ(f[q] == -2.0, s16[q] == -2.0) << "trial " << trial;
-      EXPECT_EQ(f[q] == -2.0, s8[q] == -2.0) << "trial " << trial;
-      if (f[q] == -2.0) continue;
-      EXPECT_NEAR(f[q], s16[q], kScoreBound16)
-          << "int16 trial " << trial << " pos " << q;
-      EXPECT_NEAR(f[q], s8[q], kScoreBound8)
-          << "int8 trial " << trial << " pos " << q;
+      EXPECT_EQ(ref[q] == -2.0, s16[q] == -2.0) << "trial " << trial;
+      if (ref[q] == -2.0) continue;
+      EXPECT_NEAR(ref[q], s16[q], kScoreBound)
+          << "trial " << trial << " pos " << q;
     }
+    EXPECT_EQ(argmax(ref), peak / stride) << "trial " << trial;
+    EXPECT_EQ(argmax(s16), argmax(ref)) << "trial " << trial;
   }
 }
 
-template <typename T>
-void expect_batch_matches_scalar(const QuantViewT<T>& fixed,
-                                 const QuantViewT<T>& sliding,
+void expect_batch_matches_scalar(const PackedView& fixed,
+                                 const PackedView& sliding,
                                  std::size_t pos_lo, std::size_t pos_count,
                                  std::size_t window, std::size_t stride,
                                  const TrajectoryCorrelationConfig& config,
                                  const char* what) {
   std::vector<double> got(pos_count, 0.0);
-  quantized_correlation_batch<T>(fixed, 0, sliding, pos_lo, pos_count, window,
-                                 config, got.data(), stride);
+  quantized_correlation_batch(fixed, 0, sliding, pos_lo, pos_count, window,
+                              config, got.data(), stride);
   for (std::size_t q = 0; q < pos_count; ++q) {
-    const double want = quantized_correlation<T>(
+    const double want = quantized_correlation(
         fixed, 0, sliding, pos_lo + q * stride, window, config);
     expect_bit_equal(want, got[q], what, q);
   }
@@ -171,51 +187,10 @@ TEST(QuantKernel, BatchMatchesPerPositionBitExact) {
     const std::size_t pos_lo = static_cast<std::size_t>(rng.uniform() * 7.0);
     const std::size_t metres =
         pos_lo + (pos_count - 1) * stride + window + 3;
-    const auto fixed_t = random_context(rng, window, channels, usable);
-    const auto slide_t = random_context(rng, metres, channels, usable);
-    const Operand fixed(fixed_t, channels, 0, window);
-    const Operand slide(slide_t, channels, 0, metres);
-    expect_batch_matches_scalar<std::int16_t>(fixed.v16(), slide.v16(),
-                                              pos_lo, pos_count, window,
-                                              stride, config, "int16");
-    expect_batch_matches_scalar<std::int8_t>(fixed.v8(), slide.v8(), pos_lo,
-                                             pos_count, window, stride,
-                                             config, "int8");
-  }
-}
-
-TEST(QuantKernel, MultiMatchesIndependentBatches) {
-  util::Rng rng(77);
-  const TrajectoryCorrelationConfig config{};
-  const std::size_t channels = 24;
-  const std::size_t window = 60;
-  const auto fixed_t = random_context(rng, window, channels, 0.9);
-  const Operand fixed(fixed_t, channels, 0, window);
-  std::vector<ContextTrajectory> slide_ts;
-  std::vector<Operand> slides;
-  const std::size_t lens[] = {window + 40, window + 21, window + 64};
-  for (std::size_t len : lens) {
-    slide_ts.push_back(random_context(rng, len, channels, 0.85));
-    slides.emplace_back(slide_ts.back(), channels, 0, len);
-  }
-  std::vector<std::vector<double>> multi_out(3);
-  std::vector<std::vector<double>> solo_out(3);
-  std::vector<QuantScanTask16> tasks;
-  for (std::size_t i = 0; i < 3; ++i) {
-    const std::size_t count = lens[i] - window + 1;
-    multi_out[i].assign(count, 0.0);
-    solo_out[i].assign(count, 0.0);
-    tasks.push_back({slides[i].v16(), 0, count, 1, multi_out[i].data()});
-  }
-  quantized_correlation_multi<std::int16_t>(fixed.v16(), 0, tasks, window,
-                                            config);
-  for (std::size_t i = 0; i < 3; ++i) {
-    quantized_correlation_batch<std::int16_t>(fixed.v16(), 0, slides[i].v16(),
-                                              0, multi_out[i].size(), window,
-                                              config, solo_out[i].data());
-    for (std::size_t q = 0; q < multi_out[i].size(); ++q) {
-      expect_bit_equal(solo_out[i][q], multi_out[i][q], "multi", q);
-    }
+    const Operand fixed(random_context(rng, window, channels, usable));
+    const Operand slide(random_context(rng, metres, channels, usable));
+    expect_batch_matches_scalar(fixed.view(), slide.view(), pos_lo,
+                                pos_count, window, stride, config, "int16");
   }
 }
 
@@ -224,45 +199,34 @@ TEST(QuantKernel, RoundTripWithinHalfStep) {
   const std::size_t channels = 20;
   const std::size_t metres = 150;
   const auto t = random_context(rng, metres, channels, 0.8);
-  const Operand op(t, channels, 0, metres);
-  const PackedSpan fs = op.pack.span();
-  for (auto [bits, qmax] :
-       {std::pair{QuantBits::kInt16, kQuantMax16},
-        std::pair{QuantBits::kInt8, kQuantMax8}}) {
-    const bool wide = bits == QuantBits::kInt16;
-    const QuantParams& params = wide ? op.q16.params() : op.q8.params();
-    ASSERT_TRUE(std::isfinite(params.offset));
-    ASSERT_GT(params.step, 0.0);
-    for (std::size_t c = 0; c < channels; ++c) {
-      for (std::size_t i = 0; i < metres; ++i) {
-        const float x = fs.x[c * fs.stride + i];
-        const float fv = fs.v[c * fs.stride + i];
-        const std::size_t qstride =
-            wide ? op.q16.span16().stride : op.q8.span8().stride;
-        const int q = wide ? op.q16.span16().q[c * qstride + i]
-                           : op.q8.span8().q[c * qstride + i];
-        const int v = wide ? op.q16.span16().v[c * qstride + i]
-                           : op.q8.span8().v[c * qstride + i];
-        EXPECT_EQ(v, fv != 0.0f ? 1 : 0);
-        EXPECT_LE(std::abs(q), qmax);
-        if (fv == 0.0f) {
-          EXPECT_EQ(q, 0);
-          continue;
-        }
-        const double back = params.offset + q * params.step;
-        EXPECT_LE(std::abs(back - static_cast<double>(x)),
-                  params.step * 0.5 + 1e-9)
-            << "channel " << c << " metre " << i;
+  const Operand op(t);
+  const PackedSpan s = op.pack.span();
+  ASSERT_TRUE(std::isfinite(s.params.offset));
+  ASSERT_GT(s.params.step, 0.0);
+  for (std::size_t c = 0; c < channels; ++c) {
+    for (std::size_t i = 0; i < metres; ++i) {
+      const int q = s.q[c * s.stride + i];
+      const int v = s.v[c * s.stride + i];
+      const bool usable = t.power(i).usable(c);
+      EXPECT_EQ(v, usable ? 1 : 0);
+      EXPECT_LE(std::abs(q), kQuantMax);
+      if (!usable) {
+        EXPECT_EQ(q, 0);
+        continue;
       }
+      const double back = s.params.offset + q * s.params.step;
+      EXPECT_LE(std::abs(back - static_cast<double>(t.power(i).at(c))),
+                s.params.step * 0.5 + 1e-9)
+          << "channel " << c << " metre " << i;
     }
   }
 }
 
 TEST(QuantKernel, DbmOffsetInvarianceExact) {
   // Input values snapped to a 1/64 dB grid so that the +8 dB fleet-wide
-  // shift is exact in float; the quantizer's affine params must then absorb
-  // the shift exactly (offset moves by 8, step unchanged), making every
-  // quantized value — and therefore every score — bitwise identical.
+  // shift is exact in float; the grid must then absorb the shift exactly
+  // (offset moves by 8, step unchanged), making every quantized value — and
+  // therefore every score — bitwise identical.
   util::Rng rng(606);
   const std::size_t channels = 30;
   const std::size_t window = 64;
@@ -272,45 +236,34 @@ TEST(QuantKernel, DbmOffsetInvarianceExact) {
                                             1.0 / 64.0);
   ContextTrajectory base_s = random_context(rng, metres, channels, 0.9,
                                             1.0 / 64.0);
-  const auto shift = [&](const ContextTrajectory& t,
-                         std::size_t len) {
+  const auto shift = [&](const ContextTrajectory& t, std::size_t len) {
     ContextTrajectory out(channels, len);
     for (std::size_t i = 0; i < len; ++i) {
       PowerVector pv(channels);
       for (std::size_t c = 0; c < channels; ++c) {
         if (!t.power(i).usable(c)) continue;
-        pv.set(c, static_cast<float>(static_cast<double>(t.power(i).at(c)) + delta));
+        pv.set(c, static_cast<float>(static_cast<double>(t.power(i).at(c)) +
+                                     delta));
       }
       out.append(GeoSample{}, std::move(pv));
     }
     return out;
   };
-  const ContextTrajectory shifted_f = shift(base_f, window);
-  const ContextTrajectory shifted_s = shift(base_s, metres);
-  const Operand f0(base_f, channels, 0, window);
-  const Operand s0(base_s, channels, 0, metres);
-  const Operand f1(shifted_f, channels, 0, window);
-  const Operand s1(shifted_s, channels, 0, metres);
-  EXPECT_EQ(f1.q16.params().step, f0.q16.params().step);
-  EXPECT_EQ(f1.q16.params().offset, f0.q16.params().offset + delta);
+  const Operand f0(base_f);
+  const Operand s0(base_s);
+  const Operand f1(shift(base_f, window));
+  const Operand s1(shift(base_s, metres));
+  EXPECT_EQ(f1.pack.params().step, f0.pack.params().step);
+  EXPECT_EQ(f1.pack.params().offset, f0.pack.params().offset + delta);
   const TrajectoryCorrelationConfig config{};
   const std::size_t pos_count = metres - window + 1;
   std::vector<double> a(pos_count), b(pos_count);
-  quantized_correlation_batch<std::int16_t>(f0.v16(), 0, s0.v16(), 0,
-                                            pos_count, window, config,
-                                            a.data());
-  quantized_correlation_batch<std::int16_t>(f1.v16(), 0, s1.v16(), 0,
-                                            pos_count, window, config,
-                                            b.data());
+  quantized_correlation_batch(f0.view(), 0, s0.view(), 0, pos_count, window,
+                              config, a.data());
+  quantized_correlation_batch(f1.view(), 0, s1.view(), 0, pos_count, window,
+                              config, b.data());
   for (std::size_t q = 0; q < pos_count; ++q) {
-    expect_bit_equal(a[q], b[q], "dbm-offset int16", q);
-  }
-  quantized_correlation_batch<std::int8_t>(f0.v8(), 0, s0.v8(), 0, pos_count,
-                                           window, config, a.data());
-  quantized_correlation_batch<std::int8_t>(f1.v8(), 0, s1.v8(), 0, pos_count,
-                                           window, config, b.data());
-  for (std::size_t q = 0; q < pos_count; ++q) {
-    expect_bit_equal(a[q], b[q], "dbm-offset int8", q);
+    expect_bit_equal(a[q], b[q], "dbm-offset", q);
   }
 }
 
@@ -324,33 +277,16 @@ TEST(QuantKernel, ArgmaxStableUnderSubLsbPerturbation) {
   const std::size_t metres = 400;
   const std::size_t true_pos = 211;
   const auto slide_t = random_context(rng, metres, channels, 0.9);
-  ContextTrajectory fixed_t(channels, window);
-  for (std::size_t i = 0; i < window; ++i) {
-    PowerVector pv(channels);
-    for (std::size_t c = 0; c < channels; ++c) {
-      if (!slide_t.power(true_pos + i).usable(c)) continue;
-      pv.set(c, static_cast<float>(static_cast<double>(slide_t.power(true_pos + i).at(c))));
-    }
-    fixed_t.append(GeoSample{}, std::move(pv));
-  }
-  const Operand fixed(fixed_t, channels, 0, window);
-  const Operand slide(slide_t, channels, 0, metres);
-  const double step16 = fixed.q16.params().step;
+  const auto fixed_t = noisy_copy(rng, slide_t, true_pos, window, 0.0);
+  const Operand fixed(fixed_t);
+  const Operand slide(slide_t);
+  const double step = fixed.pack.params().step;
   const TrajectoryCorrelationConfig config{};
   const std::size_t pos_count = metres - window + 1;
   std::vector<double> scores(pos_count);
 
-  const auto argmax = [&](const std::vector<double>& s) {
-    std::size_t best = 0;
-    for (std::size_t q = 1; q < s.size(); ++q) {
-      if (s[q] > s[best]) best = q;
-    }
-    return best;
-  };
-
-  quantized_correlation_batch<std::int16_t>(fixed.v16(), 0, slide.v16(), 0,
-                                            pos_count, window, config,
-                                            scores.data());
+  quantized_correlation_batch(fixed.view(), 0, slide.view(), 0, pos_count,
+                              window, config, scores.data());
   ASSERT_EQ(argmax(scores), true_pos);
 
   for (int rep = 0; rep < 5; ++rep) {
@@ -359,16 +295,15 @@ TEST(QuantKernel, ArgmaxStableUnderSubLsbPerturbation) {
       PowerVector pv(channels);
       for (std::size_t c = 0; c < channels; ++c) {
         if (!fixed_t.power(i).usable(c)) continue;
-        const double jitter = (rng.uniform() - 0.5) * step16;  // < ±LSB/2
+        const double jitter = (rng.uniform() - 0.5) * step;  // < ±LSB/2
         pv.set(c, static_cast<float>(
                       static_cast<double>(fixed_t.power(i).at(c)) + jitter));
       }
       noisy.append(GeoSample{}, std::move(pv));
     }
-    const Operand noisy_f(noisy, channels, 0, window);
-    quantized_correlation_batch<std::int16_t>(noisy_f.v16(), 0, slide.v16(),
-                                              0, pos_count, window, config,
-                                              scores.data());
+    const Operand noisy_f(noisy);
+    quantized_correlation_batch(noisy_f.view(), 0, slide.view(), 0,
+                                pos_count, window, config, scores.data());
     EXPECT_EQ(argmax(scores), true_pos) << "rep " << rep;
   }
 }
@@ -377,13 +312,12 @@ TEST(QuantKernel, WindowCapEnforced) {
   util::Rng rng(12);
   const std::size_t channels = 4;
   const std::size_t metres = kQuantMaxWindowM + 10;
-  const auto t = random_context(rng, metres, channels, 1.0);
-  const Operand op(t, channels, 0, metres);
+  const Operand op(random_context(rng, metres, channels, 1.0));
   const TrajectoryCorrelationConfig config{};
   double out = 0.0;
-  EXPECT_THROW(quantized_correlation_batch<std::int16_t>(
-                   op.v16(), 0, op.v16(), 0, 1, kQuantMaxWindowM + 1, config,
-                   &out),
+  EXPECT_THROW(quantized_correlation_batch(op.view(), 0, op.view(), 0, 1,
+                                           kQuantMaxWindowM + 1, config,
+                                           &out),
                std::invalid_argument);
 }
 
@@ -418,76 +352,52 @@ ContextTrajectory drive(std::uint64_t road_seed, std::int64_t road_start,
 }
 
 TEST(QuantKernel, PaperPointEstimateIdenticalAcrossPrecisions) {
-  // The ctest gate from ISSUE 8: at the paper point (m=1000, w=100, k=45,
-  // 10% masked) the SYN estimate — matched indices and window, i.e. the
-  // quantity that becomes the relative-distance fix — must be identical at
-  // kFloat32, kInt16 and kInt8, end to end through SynSeeker::find.
+  // At the paper point (m=1000, w=100, k=45, 10% masked) the SYN estimate —
+  // matched indices and window, i.e. the quantity that becomes the
+  // relative-distance fix — must be identical between the int16 seek and
+  // the scalar double reference seek, end to end through SynSeeker::find.
   const std::size_t m = 1000;
   const auto a = drive(99, 0, m, 45, 0.4, 0.9, 21);
   const auto b = drive(99, 137, m, 45, 0.4, 0.9, 22);
   SynConfig cfg;
   cfg.window_m = 100;
   cfg.top_channels = 45;
+  const SynSeeker seeker(cfg);
 
-  std::vector<std::vector<SynPoint>> results;
-  for (KernelPrecision prec : {KernelPrecision::kFloat32,
-                               KernelPrecision::kInt16,
-                               KernelPrecision::kInt8}) {
-    cfg.precision = prec;
-    results.push_back(SynSeeker(cfg).find(a, b));
-  }
-  ASSERT_FALSE(results[0].empty());
-  for (std::size_t p = 1; p < results.size(); ++p) {
-    ASSERT_EQ(results[p].size(), results[0].size()) << "precision " << p;
-    for (std::size_t i = 0; i < results[0].size(); ++i) {
-      EXPECT_EQ(results[p][i].index_a, results[0][i].index_a);
-      EXPECT_EQ(results[p][i].index_b, results[0][i].index_b);
-      EXPECT_EQ(results[p][i].window_m, results[0][i].window_m);
-      EXPECT_NEAR(results[p][i].correlation, results[0][i].correlation,
-                  p == 1 ? kScoreBound16 : kScoreBound8);
-    }
+  const auto got = seeker.find(a, b);
+  const auto want = testing::reference_find(seeker, a, b);
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].index_a, want[i].index_a);
+    EXPECT_EQ(got[i].index_b, want[i].index_b);
+    EXPECT_EQ(got[i].window_m, want[i].window_m);
+    EXPECT_NEAR(got[i].correlation, want[i].correlation, kScoreBound);
   }
 }
 
 TEST(QuantKernel, SeekerPackedAndFallbackPathsAgree) {
-  // The quantized seek must produce the same SYN point whether it runs on
-  // caller-maintained mirrors (PackedContext + QuantizedPack), on a bare
-  // PackedContext (scratch quantization of the full pack), or on the
-  // SubsetPack fallback (scratch quantization of the per-pass subsets).
-  // Scores may differ between pack/subset routes (different quantization
-  // grids), but each route must clear the threshold and land on the same
-  // alignment.
+  // The seek must produce the same SYN point whether it runs on
+  // caller-maintained packs or packs both sides itself: a pack is a pure
+  // function of its trajectory, so the scores are bit-identical.
   const auto a = drive(7, 0, 300, 30, 0.4, 0.9, 5);
   const auto b = drive(7, 60, 300, 30, 0.4, 0.9, 6);
   SynConfig cfg;
   cfg.window_m = 85;
   cfg.top_channels = 30;
-  cfg.precision = KernelPrecision::kInt16;
   const SynSeeker seeker(cfg);
 
   PackedContext pa, pb;
   pa.sync(a);
   pb.sync(b);
-  QuantizedPack qa, qb;
-  qa.sync(pa, QuantBits::kInt16);
-  qb.sync(pb, QuantBits::kInt16);
 
-  const auto mirrored = seeker.find_one(a, b, 0, &pa, &pb, &qa, &qb);
-  const auto packed_only = seeker.find_one(a, b, 0, &pa, &pb);
+  const auto packed = seeker.find_one(a, b, 0, &pa, &pb);
   const auto fallback = seeker.find_one(a, b, 0);
-  ASSERT_TRUE(mirrored.has_value());
-  ASSERT_TRUE(packed_only.has_value());
+  ASSERT_TRUE(packed.has_value());
   ASSERT_TRUE(fallback.has_value());
-  // Mirrored and packed-only quantize the same spans -> bit-identical.
-  EXPECT_EQ(mirrored->index_a, packed_only->index_a);
-  EXPECT_EQ(mirrored->index_b, packed_only->index_b);
-  EXPECT_EQ(mirrored->correlation, packed_only->correlation);
-  // The subset fallback quantizes narrower spans (different grid): same
-  // alignment, score within the differential bound of itself.
-  EXPECT_EQ(mirrored->index_a, fallback->index_a);
-  EXPECT_EQ(mirrored->index_b, fallback->index_b);
-  EXPECT_NEAR(mirrored->correlation, fallback->correlation,
-              2.0 * kScoreBound16);
+  EXPECT_EQ(packed->index_a, fallback->index_a);
+  EXPECT_EQ(packed->index_b, fallback->index_b);
+  EXPECT_EQ(packed->correlation, fallback->correlation);
 }
 
 }  // namespace

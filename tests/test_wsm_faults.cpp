@@ -125,7 +125,9 @@ TEST(WsmFaults, PropertyNoSilentCorruption) {
     for (char g : got) all = all && g != 0;
     const auto back = WsmFraming::reassemble(valid);
     EXPECT_EQ(back.has_value(), all) << "seed " << seed;
-    if (back.has_value()) EXPECT_EQ(*back, payload) << "seed " << seed;
+    if (back.has_value()) {
+      EXPECT_EQ(*back, payload) << "seed " << seed;
+    }
   }
 }
 
