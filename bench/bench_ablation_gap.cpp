@@ -35,22 +35,21 @@ int main() {
     scenario.rups.aggregation = core::Aggregation::kSelectiveMean;
     // Disable car-following coupling distortions at huge gaps by widening
     // the follow band: the rear car just drives its own style.
-    sim::ConvoySimulation sim(scenario);
-    sim::CampaignConfig cfg;
-    cfg.max_queries = queries;
+    sim::CampaignConfig cfg = bench::two_car_config(queries);
     cfg.warmup_s = 400.0;
-    const auto result = sim::run_campaign(sim, cfg);
+    sim::Campaign campaign(scenario, cfg);
+    const auto result = campaign.run();
     const auto errors = result.rups_errors();
     util::RunningStats r;
     for (double e : errors) r.add(e);
     const double med = util::median(errors);
     std::printf("  %-9.0f %-12.2f %-13.2f %.2f\n", gap, r.mean(), med,
-                result.rups_availability());
+                result.availability());
     csv.row(std::vector<std::string>{
         std::to_string(gap), std::to_string(r.mean()), std::to_string(med),
-        std::to_string(result.rups_availability())});
+        std::to_string(result.availability())});
     medians.push_back(med);
-    avail.push_back(result.rups_availability());
+    avail.push_back(result.availability());
   }
 
   // Expected shape: metre-level accuracy at rangefinder-scale gaps, graceful

@@ -44,13 +44,11 @@ int main() {
     bench::set_radios(scenario, 1, 1);
     scenario.rups.binder.interpolate = v.interpolate;
     if (v.max_gap_m) scenario.rups.binder.max_interpolation_gap_m = v.max_gap_m;
-    sim::ConvoySimulation sim(scenario);
-    sim::CampaignConfig cfg;
-    cfg.max_queries = queries;
-    const auto result = sim::run_campaign(sim, cfg);
+    sim::Campaign campaign(scenario, bench::two_car_config(queries));
+    const auto result = campaign.run();
 
     // Usable (measured or interpolated) slot fraction in the rear context.
-    const auto& ctx = sim.rig(1).engine().context();
+    const auto& ctx = campaign.convoy().rig(1).engine().context();
     double usable = 0.0;
     for (std::size_t i = 0; i < ctx.size(); ++i) {
       usable += static_cast<double>(ctx.power(i).usable_count());
@@ -61,11 +59,11 @@ int main() {
     util::RunningStats r;
     for (double e : result.rups_errors()) r.add(e);
     std::printf("  %-26s %-12.2f %-14.2f %.2f\n", v.label, r.mean(),
-                result.rups_availability(), usable);
+                result.availability(), usable);
     csv.row(std::vector<std::string>{
         v.label, std::to_string(r.mean()),
-        std::to_string(result.rups_availability()), std::to_string(usable)});
-    avail.push_back(result.rups_availability());
+        std::to_string(result.availability()), std::to_string(usable)});
+    avail.push_back(result.availability());
     rde.push_back(r.mean());
   }
 

@@ -23,10 +23,7 @@ double short_context_availability(std::size_t context_m, bool adaptive,
       bench::paper_scenario(63, road::EnvironmentType::kFourLaneUrban);
   scenario.rups.context_capacity_m = context_m;  // bounded context = freshly turned
   scenario.rups.syn.adaptive_window = adaptive;
-  sim::ConvoySimulation sim(scenario);
-  sim::CampaignConfig cfg;
-  cfg.max_queries = queries;
-  return sim::run_campaign(sim, cfg).rups_availability();
+  return bench::run(scenario, queries).availability();
 }
 
 }  // namespace
@@ -45,17 +42,14 @@ int main() {
     auto scenario =
         bench::paper_scenario(64, road::EnvironmentType::kEightLaneUrban);
     scenario.rups.syn.window_m = w;
-    sim::ConvoySimulation sim(scenario);
-    sim::CampaignConfig cfg;
-    cfg.max_queries = queries;
-    const auto result = sim::run_campaign(sim, cfg);
+    const auto result = bench::run(scenario, queries);
     util::RunningStats r;
     for (double e : result.rups_errors()) r.add(e);
     std::printf("  %-10zu %-12.2f %.2f\n", w, r.mean(),
-                result.rups_availability());
+                result.availability());
     csv.row(std::vector<std::string>{std::to_string(w),
                                      std::to_string(r.mean()),
-                                     std::to_string(result.rups_availability())});
+                                     std::to_string(result.availability())});
     rde_by_w.push_back(r.mean());
   }
 

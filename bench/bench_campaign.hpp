@@ -7,7 +7,6 @@
 
 #include "bench_common.hpp"
 #include "sim/campaign.hpp"
-#include "sim/convoy_sim.hpp"
 
 namespace rups::bench {
 
@@ -36,12 +35,20 @@ inline void set_radios(sim::Scenario& s, int front_car_radios,
   s.vehicles[1].placement = rear_placement;
 }
 
+/// The paper's two-car campaign: `queries` rounds over the round transport
+/// on a clean channel, with the tracking cache off (every query is a full
+/// SYN search, as in the paper).
+inline sim::CampaignConfig two_car_config(std::size_t queries) {
+  sim::CampaignConfig cfg;
+  cfg.rounds = queries;
+  cfg.engine.fleet.cache.enabled = false;
+  return cfg;
+}
+
 inline sim::CampaignResult run(const sim::Scenario& scenario,
                                std::size_t queries) {
-  sim::ConvoySimulation sim(scenario);
-  sim::CampaignConfig cfg;
-  cfg.max_queries = queries;
-  return sim::run_campaign(sim, cfg);
+  sim::Campaign campaign(scenario, two_car_config(queries));
+  return campaign.run();
 }
 
 }  // namespace rups::bench

@@ -57,24 +57,22 @@ int main() {
     scenario.channels = c.gsm_channels;
     scenario.include_fm_band = c.fm;
     bench::set_radios(scenario, c.radios, c.radios);
-    sim::ConvoySimulation sim(scenario);
-    sim::CampaignConfig cfg;
-    cfg.max_queries = queries;
-    const auto result = sim::run_campaign(sim, cfg);
+    sim::Campaign campaign(scenario, bench::two_car_config(queries));
+    const auto result = campaign.run();
     util::RunningStats r;
     for (double e : result.rups_errors()) r.add(e);
-    const std::size_t channels = sim.scenario().channels;
+    const std::size_t channels = campaign.convoy().scenario().channels;
     const double kb_per_km =
         static_cast<double>(v2v::TrajectoryCodec::encoded_size(1000, channels)) /
         1000.0;
     std::printf("  %-26s %-9zu %-12.2f %-14.2f %.0f\n", c.label, channels,
-                r.mean(), result.rups_availability(), kb_per_km);
+                r.mean(), result.availability(), kb_per_km);
     csv.row(std::vector<std::string>{
         c.label, std::to_string(channels), std::to_string(r.mean()),
-        std::to_string(result.rups_availability()),
+        std::to_string(result.availability()),
         std::to_string(kb_per_km)});
     rde.push_back(r.mean());
-    avail.push_back(result.rups_availability());
+    avail.push_back(result.availability());
   }
 
   // Expected shape: adding FM on FIXED radios degrades (sweep smear); with

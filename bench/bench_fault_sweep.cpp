@@ -2,7 +2,8 @@
 // and, at every query instant, run the trajectory exchange through each
 // fault profile side by side — same sender context, same ground truth, so
 // the profiles differ only in what survives the channel. The rear vehicle
-// estimates from its decoded receiver-side copy, exactly like run_campaign.
+// estimates from its decoded receiver-side copy, like the campaign driver's
+// round transport (sim::Campaign), which cannot pair profiles on one drive.
 //
 // Two enforced properties (nonzero exit on violation):
 //   1. urban (~5% burst loss): end-to-end p95 distance error within 10% of
@@ -23,13 +24,13 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "sim/campaign.hpp"
 #include "sim/convoy_sim.hpp"
 #include "sim/scenario.hpp"
 #include "util/rng.hpp"
 #include "v2v/channel.hpp"
 #include "v2v/exchange.hpp"
 #include "v2v/link.hpp"
+#include "v2v/receiver.hpp"
 
 using namespace rups;
 
@@ -42,7 +43,7 @@ struct Profile {
   std::unique_ptr<v2v::DsrcLink> link;
   std::unique_ptr<v2v::FaultyChannel> channel;
   std::unique_ptr<v2v::ExchangeSession> session;
-  std::unique_ptr<sim::V2vReceiver> receiver;
+  std::unique_ptr<v2v::V2vReceiver> receiver;
 
   std::vector<double> errors;
   std::size_t hits = 0;
@@ -51,6 +52,9 @@ struct Profile {
   std::size_t failed = 0;
 };
 
+/// Interpolated quantile like util::percentile, except that an empty
+/// sample gives NaN, not 0: the blackout profile produces no estimates,
+/// and a 0 m error there would read as a perfect score.
 double quantile(std::vector<double> v, double q) {
   if (v.empty()) return std::nan("");
   std::sort(v.begin(), v.end());
@@ -112,7 +116,7 @@ int main() {
         util::hash_combine(0xC4A77E1ULL, i), p.fault);
     p.session = std::make_unique<v2v::ExchangeSession>(
         p.link.get(), p.channel.get(), v2v::ExchangeConfig{});
-    p.receiver = std::make_unique<sim::V2vReceiver>(
+    p.receiver = std::make_unique<v2v::V2vReceiver>(
         rups_cfg.channels, rups_cfg.context_capacity_m);
   }
 

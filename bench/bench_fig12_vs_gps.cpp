@@ -62,7 +62,7 @@ int main() {
         "   avail %.2f\n",
         e.label, rups_mean, rups_err.empty() ? 0.0 : rc.quantile(0.9),
         gps_mean, gps_err.empty() ? 0.0 : gc.quantile(0.9),
-        result.rups_availability());
+        result.availability());
     bench::paper_vs_measured((std::string("  RUPS, ") + e.label).c_str(),
                              e.paper_rups_m, rups_mean, "m");
     bench::paper_vs_measured((std::string("  GPS,  ") + e.label).c_str(),

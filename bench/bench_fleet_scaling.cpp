@@ -19,7 +19,7 @@
 #include "bench_common.hpp"
 #include "core/fleet.hpp"
 #include "core/syn_seeker.hpp"
-#include "sim/fleet_sim.hpp"
+#include "sim/campaign.hpp"
 #include "util/hash_noise.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -79,7 +79,7 @@ ModeResult run_mode(const std::vector<RssiLog>& logs, std::size_t fleet_n,
                     bool warm, util::ThreadPool* pool) {
   core::FleetConfig cfg;
   cfg.rups.context_capacity_m = kCapacityM;
-  cfg.use_cache = warm;
+  cfg.cache.enabled = warm;
   core::FleetEngine engine(cfg);
 
   std::vector<core::ContextTrajectory> contexts;
@@ -164,18 +164,19 @@ bool run_full_campaign() {
       sim::Scenario::fleet(7, road::EnvironmentType::kFourLaneUrban,
                            /*vehicle_count=*/16, /*gap_m=*/25.0);
   scenario.route_length_m = 9'000.0;
-  sim::FleetCampaignConfig cfg;
-  cfg.base.warmup_s = 350.0;
-  cfg.base.interval_s = 5.0;
-  cfg.base.max_queries = bench::scaled(20);  // rounds
-  sim::FleetSimulation fleet(scenario, cfg);
-  const auto result = sim::run_fleet_campaign(fleet, cfg);
+  sim::CampaignConfig cfg;
+  cfg.warmup_s = 350.0;
+  cfg.interval_s = 5.0;
+  cfg.rounds = bench::scaled(20);
+  sim::Campaign campaign(scenario, cfg);
+  const auto result = campaign.run();
 
   // Pairwise reference on the same (already driven) sim: the rear car
   // queries its immediate leader through the classic engine path.
   std::vector<double> pair_errors;
-  for (std::size_t i = 0; i + 1 < fleet.sim().vehicle_count(); ++i) {
-    const auto q = fleet.sim().query(fleet.ego_index(), i);
+  sim::ConvoySimulation& convoy = campaign.convoy();
+  for (std::size_t i = 0; i + 1 < convoy.vehicle_count(); ++i) {
+    const auto q = convoy.query(campaign.ego(), i);
     if (const auto e = q.rups_error()) pair_errors.push_back(*e);
   }
   double pair_mean = 0.0;
@@ -190,11 +191,15 @@ bool run_full_campaign() {
     fleet_mean /= static_cast<double>(fleet_errors.size());
   }
 
+  double latency_us = 0.0;
+  for (const auto& o : result.outcomes) latency_us += o.result.latency_us;
+  if (!result.outcomes.empty()) {
+    latency_us /= static_cast<double>(result.outcomes.size());
+  }
   std::printf("  rounds %zu  availability %.2f  cache hit rate %.2f\n",
-              result.rounds.size(), result.availability(),
-              hit_rate(result.cache));
+              result.rounds, result.availability(), hit_rate(result.cache));
   std::printf("  v2v bytes %zu  mean query latency %.0f us\n", result.v2v_bytes,
-              result.mean_latency_us());
+              latency_us);
   paper_vs_measured("fleet mean |error| vs pairwise (m)", pair_mean,
                     fleet_mean, "m");
   // "Within noise": the fleet path must not degrade accuracy; allow the

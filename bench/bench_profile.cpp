@@ -36,7 +36,7 @@
 
 #include "bench_common.hpp"
 #include "obs/obs.hpp"
-#include "sim/fleet_sim.hpp"
+#include "sim/campaign.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -57,10 +57,11 @@ sim::Scenario make_scenario() {
   return scenario;
 }
 
-sim::FleetCampaignConfig make_config() {
-  sim::FleetCampaignConfig cfg;
-  cfg.base.max_queries = kRounds;  // fixed: deterministic census counters
-  cfg.base.interval_s = 3.0;
+sim::CampaignConfig make_config() {
+  sim::CampaignConfig cfg;
+  cfg.rounds = kRounds;  // fixed: deterministic census counters
+  cfg.interval_s = 3.0;
+  cfg.link_seed = 0xF1EE'7CA5ULL;  // the fleet benches' pinned link timing
   return cfg;
 }
 
@@ -69,17 +70,16 @@ sim::FleetCampaignConfig make_config() {
 
 struct RunResult {
   double seconds = 0.0;
-  sim::FleetCampaignResult campaign;
+  sim::CampaignResult campaign;
 };
 
 RunResult run_once(obs::SpanProfiler* profiler) {
-  const sim::FleetCampaignConfig cfg = make_config();
-  sim::FleetSimulation fleet(make_scenario(), cfg);
+  sim::Campaign campaign(make_scenario(), make_config());
 
   RunResult out;
   const auto started = std::chrono::steady_clock::now();
   if (profiler != nullptr) profiler->start();
-  out.campaign = sim::run_fleet_campaign(fleet, cfg);
+  out.campaign = campaign.run();
   if (profiler != nullptr) profiler->stop();
   out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                               started)
@@ -89,26 +89,21 @@ RunResult run_once(obs::SpanProfiler* profiler) {
 
 /// Estimates (and the SYN points they came from) must match bit for bit:
 /// profiling may cost time, never accuracy.
-bool same_estimates(const sim::FleetCampaignResult& a,
-                    const sim::FleetCampaignResult& b) {
-  if (a.rounds.size() != b.rounds.size()) return false;
-  for (std::size_t r = 0; r < a.rounds.size(); ++r) {
-    const auto& xs = a.rounds[r].outcomes;
-    const auto& ys = b.rounds[r].outcomes;
-    if (xs.size() != ys.size()) return false;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const auto& x = xs[i].result;
-      const auto& y = ys[i].result;
-      if (xs[i].neighbour_index != ys[i].neighbour_index) return false;
-      if (x.estimate.has_value() != y.estimate.has_value()) return false;
-      if (x.estimate.has_value() &&
-          (x.estimate->distance_m != y.estimate->distance_m ||
-           x.estimate->confidence != y.estimate->confidence ||
-           x.estimate->syn_count != y.estimate->syn_count)) {
-        return false;
-      }
-      if (x.syn_points.size() != y.syn_points.size()) return false;
+bool same_estimates(const sim::CampaignResult& a,
+                    const sim::CampaignResult& b) {
+  if (a.outcomes.size() != b.outcomes.size()) return false;
+  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+    const auto& x = a.outcomes[i].result;
+    const auto& y = b.outcomes[i].result;
+    if (a.outcomes[i].neighbour != b.outcomes[i].neighbour) return false;
+    if (x.estimate.has_value() != y.estimate.has_value()) return false;
+    if (x.estimate.has_value() &&
+        (x.estimate->distance_m != y.estimate->distance_m ||
+         x.estimate->confidence != y.estimate->confidence ||
+         x.estimate->syn_count != y.estimate->syn_count)) {
+      return false;
     }
+    if (x.syn_points.size() != y.syn_points.size()) return false;
   }
   return true;
 }
@@ -174,29 +169,25 @@ struct CensusResult {
   double mean_allocs = 0.0;
 };
 
-/// Drives the campaign cadence by hand (run_until + query_round, serial)
-/// so the driving-thread allocation delta around each warm round is exact:
+/// Drives the campaign cadence by hand (advance + exchange_and_estimate,
+/// serial) so the driving-thread allocation delta around each warm round's
+/// exchange and estimate is exact (the drive itself is not bracketed):
 /// warm-up and the first kWarmRounds rounds (full searches, full V2V
 /// transfers) are excluded, the census window covers only the steady
 /// state the zero-alloc target is about.
 CensusResult run_census_campaign() {
-  const sim::FleetCampaignConfig cfg = make_config();
-  sim::FleetSimulation fleet(make_scenario(), cfg);
-  fleet.run_until(cfg.base.warmup_s);
-  double t = cfg.base.warmup_s;
+  sim::Campaign campaign(make_scenario(), make_config());
 
   CensusResult out;
   std::uint64_t total = 0;
   for (std::size_t round = 0; round < kRounds; ++round) {
-    t += cfg.base.interval_s;
-    fleet.run_until(t);
-    if (fleet.sim().finished()) break;
+    if (!campaign.advance()) break;
     if (round == kWarmRounds) {
       obs::enable_alloc_census(true);
       obs::reset_alloc_census();
     }
     const obs::AllocTotals before = obs::thread_alloc_totals();
-    (void)fleet.query_round();
+    (void)campaign.exchange_and_estimate();
     const std::uint64_t allocs =
         (obs::thread_alloc_totals() - before).count;
     if (round >= kWarmRounds) {

@@ -34,6 +34,7 @@
 #include "service/matcher_service.hpp"
 #include "sim/service_sim.hpp"
 #include "util/json.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -237,17 +238,6 @@ RunResult run_reference(std::size_t vehicles) {
   return out;
 }
 
-double quantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank =
-      std::clamp(q, 0.0, 1.0) * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
 bool same_outcomes(const RunResult& a, const RunResult& b) {
   return a.outcomes == b.outcomes && a.accepted == b.accepted &&
          a.rejected == b.rejected;
@@ -294,7 +284,7 @@ int run_gate() {
     const double warm_queries =
         static_cast<double>(row.result.warm_latencies_us.size());
     const double qps = busy > 0.0 ? warm_queries / busy : 0.0;
-    const double p99 = quantile(row.result.warm_latencies_us, 0.99);
+    const double p99 = util::percentile(row.result.warm_latencies_us, 0.99);
     // The p99 budget applies to serial drains: per-request wall time under
     // a pooled drain on an oversubscribed host measures thread scheduling,
     // not service compute. The pooled row still gates on bit-identity.

@@ -27,44 +27,91 @@
 
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
-#include "sim/stream_sim.hpp"
+#include "sim/campaign.hpp"
+#include "util/stats.hpp"
 #include "v2v/channel.hpp"
 
 using namespace rups;
 
 namespace {
 
-struct ProfileRow {
-  std::string name;
-  sim::StreamCampaignResult streamed;
-  sim::StreamCampaignResult batch;
-};
+constexpr double kIntervalS = 1.0;
+// A pair at distance d resolves once both contexts reach the checking
+// window PLUS d (~85 + 60 m for the farthest neighbour => round ~13);
+// accounting starts after every pair is warm so staleness measures the
+// exchange protocol, not the estimator's cold-start geometry.
+constexpr std::size_t kWarmupRounds = 14;
 
-sim::StreamCampaignConfig campaign_config(const v2v::FaultConfig& fault) {
-  sim::StreamCampaignConfig cfg;
-  cfg.city.vehicles = 5;
-  cfg.city.channels = 24;
-  cfg.city.context_capacity_m = 200;
-  cfg.city.spacing_m = 15.0;
+sim::CityFleetConfig city_config() {
+  sim::CityFleetConfig city;
+  city.vehicles = 5;  // the ego (vehicle 0) and four neighbours
+  city.channels = 24;
+  city.context_capacity_m = 200;
+  city.spacing_m = 15.0;
   // Constant convoy speed: staleness must measure the PROTOCOL, so every
   // pair has to stay resolvable for the whole drive. With a spread advance
   // band a neighbour slower than the (rearmost) ego falls behind it and
   // the seek geometry legitimately starves — in both modes alike, which
   // would swamp the protocol-staleness comparison. Drift stress lives in
   // bench_fleet_scaling / bench_fault_sweep.
-  cfg.city.min_advance_m = 11;
-  cfg.city.max_advance_m = 11;
-  cfg.city.seed = 0x57E4'11FEULL;
-  cfg.rounds = 34;
-  // A pair at distance d resolves once both contexts reach the checking
-  // window PLUS d (~85 + 60 m for the farthest neighbour => round ~13);
-  // accounting starts after every pair is warm so staleness measures the
-  // exchange protocol, not the estimator's cold-start geometry.
-  cfg.warmup_rounds = 14;
-  cfg.neighbours = 4;
-  cfg.fault = fault;
-  return cfg;
+  city.min_advance_m = 11;
+  city.max_advance_m = 11;
+  city.seed = 0x57E4'11FEULL;
+  return city;
 }
+
+/// One mode's figures; errors and staleness exclude the warm-up rounds
+/// (exchange and estimation run from round 0 in both modes).
+struct ModeResult {
+  std::uint64_t estimates = 0;
+  /// Wire bytes over the WHOLE campaign: both modes pay their initial
+  /// sync, so bytes_per_estimate is comparable.
+  std::size_t bytes = 0;
+  double bytes_per_estimate = 0.0;
+  double mean_error = 0.0;
+  double staleness_p50 = 0.0;
+  double staleness_p99 = 0.0;
+  stream::BeaconStats beacons;
+};
+
+ModeResult run_mode(const v2v::FaultConfig& fault, sim::Transport transport) {
+  sim::CampaignConfig cfg;
+  cfg.warmup_s = 0.0;
+  cfg.interval_s = kIntervalS;
+  cfg.rounds = 34;
+  cfg.transport = transport;
+  cfg.fault = fault;
+  sim::Campaign campaign(city_config(), cfg);
+  const sim::CampaignResult r = campaign.run();
+
+  const double from_s = static_cast<double>(kWarmupRounds) * kIntervalS;
+  ModeResult out;
+  std::vector<double> errors;
+  for (const sim::CampaignOutcome& o : r.outcomes) {
+    if (!o.result.estimate.has_value()) continue;
+    ++out.estimates;
+    if (o.time_s > from_s) errors.push_back(*o.rups_error());
+  }
+  out.bytes = r.v2v_bytes;
+  out.bytes_per_estimate =
+      out.estimates > 0 ? static_cast<double>(out.bytes) /
+                              static_cast<double>(out.estimates)
+                        : 0.0;
+  out.mean_error = util::mean(errors);
+  // Staleness is sampled for every neighbour at every metre in both modes,
+  // so the quantiles are comparable.
+  const std::vector<double> staleness = r.staleness_after(from_s);
+  out.staleness_p50 = util::percentile(staleness, 0.50);
+  out.staleness_p99 = util::percentile(staleness, 0.99);
+  out.beacons = r.beacons;
+  return out;
+}
+
+struct ProfileRow {
+  std::string name;
+  ModeResult streamed;
+  ModeResult batch;
+};
 
 }  // namespace
 
@@ -79,11 +126,10 @@ int main() {
 
   std::vector<ProfileRow> rows;
   for (const auto& [name, fault] : profiles) {
-    const sim::StreamCampaignConfig cfg = campaign_config(fault);
     ProfileRow row;
     row.name = name;
-    row.streamed = sim::run_stream_campaign(cfg);
-    row.batch = sim::run_batch_campaign(cfg);
+    row.streamed = run_mode(fault, sim::Transport::kBeacon);
+    row.batch = run_mode(fault, sim::Transport::kRound);
     rows.push_back(std::move(row));
   }
 
@@ -98,18 +144,17 @@ int main() {
               "estimates", "bytes", "B/est", "err(m)", "p50(s)", "p99(s)");
   for (const auto& row : rows) {
     const auto print_mode = [&](const char* mode,
-                                const sim::StreamCampaignResult& r) {
+                                const ModeResult& r) {
       std::printf("  %-10s %-7s %9llu %10zu %8.1f %9.3f %8.3f %8.3f\n",
                   row.name.c_str(), mode,
                   static_cast<unsigned long long>(r.estimates), r.bytes,
-                  r.bytes_per_estimate, r.mean_error(),
-                  r.staleness_quantile(0.50), r.staleness_quantile(0.99));
+                  r.bytes_per_estimate, r.mean_error, r.staleness_p50,
+                  r.staleness_p99);
       csv.row(std::vector<std::string>{
           row.name, mode, std::to_string(r.estimates),
           std::to_string(r.bytes), std::to_string(r.bytes_per_estimate),
-          std::to_string(r.mean_error()),
-          std::to_string(r.staleness_quantile(0.50)),
-          std::to_string(r.staleness_quantile(0.99)),
+          std::to_string(r.mean_error), std::to_string(r.staleness_p50),
+          std::to_string(r.staleness_p99),
           std::to_string(r.beacons.resyncs),
           std::to_string(r.beacons.rerequests)});
       // Appended piecewise: GCC 12 misreports `"." + std::string` here as
@@ -120,9 +165,8 @@ int main() {
       suffix += row.name;
       reg.gauge("streambench.bytes_per_estimate" + suffix)
           .set(r.bytes_per_estimate);
-      reg.gauge("streambench.mean_err_m" + suffix).set(r.mean_error());
-      reg.gauge("streambench.staleness_p99_s" + suffix)
-          .set(r.staleness_quantile(0.99));
+      reg.gauge("streambench.mean_err_m" + suffix).set(r.mean_error);
+      reg.gauge("streambench.staleness_p99_s" + suffix).set(r.staleness_p99);
     };
     print_mode("stream", row.streamed);
     print_mode("batch", row.batch);
@@ -134,10 +178,9 @@ int main() {
   }
 
   bool pass = true;
-  const double interval_s = campaign_config(profiles[0].second).city.interval_s;
   for (const auto& row : rows) {
-    const sim::StreamCampaignResult& s = row.streamed;
-    const sim::StreamCampaignResult& b = row.batch;
+    const ModeResult& s = row.streamed;
+    const ModeResult& b = row.batch;
     if (s.estimates == 0 || b.estimates == 0) {
       std::printf("  FAIL[%s]: a mode produced no estimates\n",
                   row.name.c_str());
@@ -159,24 +202,24 @@ int main() {
     // 2. Equal accuracy: same codec, same channel, same estimator — the
     //    per-metre cadence must not degrade the estimates it delivers.
     const double err_budget =
-        std::max(b.mean_error() * 1.10, b.mean_error() + 0.25);
-    if (!(s.mean_error() <= err_budget)) {
+        std::max(b.mean_error * 1.10, b.mean_error + 0.25);
+    if (!(s.mean_error <= err_budget)) {
       std::printf("  FAIL[%s]: stream mean err %.3f m vs budget %.3f m\n",
-                  row.name.c_str(), s.mean_error(), err_budget);
+                  row.name.c_str(), s.mean_error, err_budget);
       pass = false;
     }
 
     // 3. Freshness: estimates refresh every metre, so staleness p99 must
     //    stay well under the round interval even when beacons degrade, and
     //    streaming must never be MORE stale than the round baseline.
-    const double staleness_budget = 0.5 * interval_s;
-    const double p99 = s.staleness_quantile(0.99);
+    const double staleness_budget = 0.5 * kIntervalS;
+    const double p99 = s.staleness_p99;
     if (!(p99 <= staleness_budget)) {
       std::printf("  FAIL[%s]: stream staleness p99 %.3f s over budget %.3f s\n",
                   row.name.c_str(), p99, staleness_budget);
       pass = false;
     }
-    if (!(p99 <= b.staleness_quantile(0.99))) {
+    if (!(p99 <= b.staleness_p99)) {
       std::printf("  FAIL[%s]: streaming staler than the round baseline\n",
                   row.name.c_str());
       pass = false;

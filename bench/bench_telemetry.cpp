@@ -34,7 +34,7 @@
 
 #include "bench_common.hpp"
 #include "obs/obs.hpp"
-#include "sim/fleet_sim.hpp"
+#include "sim/campaign.hpp"
 
 namespace {
 
@@ -45,30 +45,30 @@ constexpr std::size_t kRounds = 16;
 constexpr std::uint64_t kSeed = 7;
 constexpr double kOverheadCeiling = 1.25;
 
-sim::FleetCampaignConfig make_config(bool telemetry) {
-  sim::FleetCampaignConfig cfg;
-  cfg.base.max_queries = kRounds;  // fixed: deterministic baseline counters
-  cfg.base.interval_s = 3.0;
-  cfg.base.series.enabled = telemetry;
-  cfg.base.series.window_s = 15.0;
+sim::CampaignConfig make_config(bool telemetry) {
+  sim::CampaignConfig cfg;
+  cfg.rounds = kRounds;  // fixed: deterministic baseline counters
+  cfg.interval_s = 3.0;
+  cfg.link_seed = 0xF1EE'7CA5ULL;  // the fleet benches' pinned link timing
+  cfg.series.enabled = telemetry;
+  cfg.series.window_s = 15.0;
   return cfg;
 }
 
 struct RunResult {
   double seconds = 0.0;
-  sim::FleetCampaignResult campaign;
+  sim::CampaignResult campaign;
 };
 
 RunResult run_once(bool telemetry) {
   sim::Scenario scenario = sim::Scenario::fleet(
       kSeed, road::EnvironmentType::kFourLaneUrban, kVehicles, /*gap_m=*/25.0);
   scenario.route_length_m = 9'000.0;
-  const sim::FleetCampaignConfig cfg = make_config(telemetry);
-  sim::FleetSimulation fleet(scenario, cfg);
+  sim::Campaign campaign(scenario, make_config(telemetry));
 
   RunResult out;
   const auto started = std::chrono::steady_clock::now();
-  out.campaign = sim::run_fleet_campaign(fleet, cfg);
+  out.campaign = campaign.run();
   out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                               started)
                     .count();
@@ -77,31 +77,26 @@ RunResult run_once(bool telemetry) {
 
 /// Estimates (and the SYN points they came from) must match bit for bit:
 /// telemetry may cost time, never accuracy.
-bool same_estimates(const sim::FleetCampaignResult& a,
-                    const sim::FleetCampaignResult& b) {
-  if (a.rounds.size() != b.rounds.size()) return false;
-  for (std::size_t r = 0; r < a.rounds.size(); ++r) {
-    const auto& xs = a.rounds[r].outcomes;
-    const auto& ys = b.rounds[r].outcomes;
-    if (xs.size() != ys.size()) return false;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const auto& x = xs[i].result;
-      const auto& y = ys[i].result;
-      if (xs[i].neighbour_index != ys[i].neighbour_index) return false;
-      if (x.estimate.has_value() != y.estimate.has_value()) return false;
-      if (x.estimate.has_value() &&
-          (x.estimate->distance_m != y.estimate->distance_m ||
-           x.estimate->confidence != y.estimate->confidence ||
-           x.estimate->syn_count != y.estimate->syn_count)) {
+bool same_estimates(const sim::CampaignResult& a,
+                    const sim::CampaignResult& b) {
+  if (a.outcomes.size() != b.outcomes.size()) return false;
+  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+    const auto& x = a.outcomes[i].result;
+    const auto& y = b.outcomes[i].result;
+    if (a.outcomes[i].neighbour != b.outcomes[i].neighbour) return false;
+    if (x.estimate.has_value() != y.estimate.has_value()) return false;
+    if (x.estimate.has_value() &&
+        (x.estimate->distance_m != y.estimate->distance_m ||
+         x.estimate->confidence != y.estimate->confidence ||
+         x.estimate->syn_count != y.estimate->syn_count)) {
+      return false;
+    }
+    if (x.syn_points.size() != y.syn_points.size()) return false;
+    for (std::size_t s = 0; s < x.syn_points.size(); ++s) {
+      if (x.syn_points[s].index_a != y.syn_points[s].index_a ||
+          x.syn_points[s].index_b != y.syn_points[s].index_b ||
+          x.syn_points[s].correlation != y.syn_points[s].correlation) {
         return false;
-      }
-      if (x.syn_points.size() != y.syn_points.size()) return false;
-      for (std::size_t s = 0; s < x.syn_points.size(); ++s) {
-        if (x.syn_points[s].index_a != y.syn_points[s].index_a ||
-            x.syn_points[s].index_b != y.syn_points[s].index_b ||
-            x.syn_points[s].correlation != y.syn_points[s].correlation) {
-          return false;
-        }
       }
     }
   }
@@ -111,7 +106,7 @@ bool same_estimates(const sim::FleetCampaignResult& a,
 /// The committed baseline shape: one snapshot object with the windowed
 /// series spliced in as a "series" member, so obs_diff reads counters and
 /// series columns from the same --section.
-void write_telemetry_json(const sim::FleetCampaignResult& result) {
+void write_telemetry_json(const sim::CampaignResult& result) {
   std::filesystem::create_directories("bench_out");
   std::string json = result.metrics.to_json();
   const std::size_t brace = json.rfind('}');
@@ -150,10 +145,10 @@ int main(int argc, char** argv) {
     const RunResult on = run_once(/*telemetry=*/true);
     obs::set_trace_sink(nullptr);
     std::printf("  report-only: %zu rounds, %zu series windows, %.2f s\n",
-                on.campaign.rounds.size(), on.campaign.series.windows(),
+                on.campaign.rounds, on.campaign.series.windows(),
                 on.seconds);
     write_telemetry_json(on.campaign);
-    return on.campaign.rounds.empty() || on.campaign.series.empty() ? 1 : 0;
+    return on.campaign.rounds == 0 || on.campaign.series.empty() ? 1 : 0;
   }
 
   // Interleaved best-of-2 per mode: alternating absorbs slow drift in

@@ -1,7 +1,7 @@
 // rups_exporterd: long-lived ops daemon around one fleet simulation. It
 // drives beacon rounds on the campaign cadence (warm-up, then
-// run_until + query_round per interval) with a live HealthMonitor wired
-// into the fleet, while a MetricsExporter serves the registry snapshot as
+// advance + exchange_and_estimate per interval) with the campaign's live
+// HealthMonitor, while a MetricsExporter serves the registry snapshot as
 // Prometheus text on /metrics and the monitor's verdict on /healthz:
 //
 //   $ ./rups_exporterd --port 9464 &
@@ -23,7 +23,7 @@
 #include <string>
 
 #include "obs/obs.hpp"
-#include "sim/fleet_sim.hpp"
+#include "sim/campaign.hpp"
 
 using namespace rups;
 
@@ -161,16 +161,13 @@ int main(int argc, char** argv) {
   // environment with the urban packet-fault mix on every exchange.
   sim::Scenario scenario = sim::Scenario::fleet(
       opt.seed, road::EnvironmentType::kFourLaneUrban, opt.vehicles);
-  sim::FleetCampaignConfig cfg;
-  cfg.base.interval_s = opt.interval_s;
-  cfg.base.fault = v2v::FaultConfig::urban();
-  sim::FleetSimulation fleet(scenario, cfg);
-
-  // The daemon owns the health monitor (run_fleet_campaign is not used
-  // here: rounds are driven manually so scrapes interleave with work) and
-  // the exporter reads it live.
-  obs::HealthMonitor monitor(cfg.base.health);
-  fleet.set_health_monitor(&monitor);
+  sim::CampaignConfig cfg;
+  cfg.interval_s = opt.interval_s;
+  cfg.fault = v2v::FaultConfig::urban();
+  // Rounds are stepped here rather than through run(), so scrapes
+  // interleave with work; the exporter reads the campaign's health live.
+  sim::Campaign campaign(scenario, cfg);
+  const obs::HealthMonitor& monitor = campaign.health();
 
   obs::MetricsExporter::Options exporter_opt;
   exporter_opt.port = static_cast<std::uint16_t>(opt.port);
@@ -192,20 +189,13 @@ int main(int argc, char** argv) {
       opt.vehicles, opt.interval_s,
       opt.rounds == 0 ? "unbounded" : std::to_string(opt.rounds).c_str());
 
-  fleet.run_until(cfg.base.warmup_s);
-  double t = cfg.base.warmup_s;
   std::size_t rounds_done = 0;
   std::size_t hits = 0;
   std::size_t outcomes = 0;
   bool scraped_mid_campaign = !opt.selfcheck;
-  while (!fleet.sim().finished() &&
-         (opt.rounds == 0 || rounds_done < opt.rounds)) {
-    t += opt.interval_s;
-    fleet.run_until(t);
-    if (fleet.sim().finished()) break;
-    const sim::FleetRound round = fleet.query_round();
+  while ((opt.rounds == 0 || rounds_done < opt.rounds) && campaign.advance()) {
     ++rounds_done;
-    for (const sim::FleetQueryOutcome& o : round.outcomes) {
+    for (const sim::CampaignOutcome& o : campaign.exchange_and_estimate()) {
       ++outcomes;
       if (o.result.estimate.has_value()) ++hits;
     }
@@ -230,7 +220,7 @@ int main(int argc, char** argv) {
       "rups_exporterd: %zu rounds, %zu/%zu estimates, health %s, v2v bytes "
       "%zu\n",
       rounds_done, hits, outcomes, report.healthy() ? "ok" : "degraded",
-      fleet.v2v_bytes());
+      campaign.v2v_bytes());
 
   int rc = 0;
   if (opt.selfcheck) {

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "sim/fleet_sim.hpp"
+#include "sim/campaign.hpp"
 #include "util/csv.hpp"
 
 using namespace rups;
@@ -168,12 +168,7 @@ int report_saved_series(const std::string& path) {
   }
   std::printf("telemetry_report: %s (%zu windows, %zu columns)\n",
               path.c_str(), series.windows(), series.columns.size());
-  // A saved series may come from either campaign shape; prefer the fleet
-  // round histogram and fall back to the two-car query latency.
-  const char* latency = series.column("fleetcampaign.round_us", "count")
-                            ? "fleetcampaign.round_us"
-                            : "campaign.query_latency_us";
-  print_windows(series, latency);
+  print_windows(series, "fleetcampaign.round_us");
   print_neighbours(series, obs::MetricsSnapshot{});
   return 0;
 }
@@ -225,21 +220,21 @@ int main(int argc, char** argv) {
   // urban packet-fault mix on every V2V exchange.
   sim::Scenario scenario = sim::Scenario::fleet(
       opt.seed, road::EnvironmentType::kFourLaneUrban, opt.vehicles);
-  sim::FleetCampaignConfig cfg;
-  cfg.base.max_queries = opt.rounds;
-  cfg.base.fault = v2v::FaultConfig::urban();
-  cfg.base.series.window_s = opt.window_s;
-  sim::FleetSimulation fleet(scenario, cfg);
+  sim::CampaignConfig cfg;
+  cfg.rounds = opt.rounds;
+  cfg.fault = v2v::FaultConfig::urban();
+  cfg.series.window_s = opt.window_s;
+  sim::Campaign campaign(scenario, cfg);
 
   std::printf(
       "telemetry_report: %zu vehicles (ego + %zu neighbours), %zu rounds, "
       "urban fault profile, %.0f s windows\n",
       opt.vehicles, opt.vehicles - 1, opt.rounds, opt.window_s);
-  const sim::FleetCampaignResult result = sim::run_fleet_campaign(fleet, cfg);
+  const sim::CampaignResult result = campaign.run();
 
   std::printf("campaign: %zu rounds, availability %.2f, v2v bytes %zu\n",
-              result.rounds.size(), result.availability(), result.v2v_bytes);
-  if (result.rounds.empty() || result.series.empty()) {
+              result.rounds, result.availability(), result.v2v_bytes);
+  if (result.rounds == 0 || result.series.empty()) {
     std::fprintf(stderr,
                  "error: campaign produced no telemetry windows (telemetry "
                  "disabled build?)\n");

@@ -76,11 +76,11 @@ void summarize(const char* label, const sim::VehicleTrace& trace) {
 /// seek/query for chrome://tracing.
 int run_campaign_mode(std::uint64_t seed, std::size_t max_queries,
                       const std::string& series_out) {
-  sim::ConvoySimulation sim(make_scenario(seed));
   sim::CampaignConfig cfg;
-  cfg.max_queries = max_queries;
-  cfg.model_v2v_cost = true;
-  const auto result = sim::run_campaign(sim, cfg);
+  cfg.rounds = max_queries;
+  cfg.engine.fleet.cache.enabled = false;  // the paper's full search
+  sim::Campaign campaign(make_scenario(seed), cfg);
+  const auto result = campaign.run();
   if (!series_out.empty()) {
     std::ofstream out(series_out);
     out << result.series.to_json();
@@ -95,23 +95,23 @@ int run_campaign_mode(std::uint64_t seed, std::size_t max_queries,
 
   const auto errors = result.rups_errors();
   std::printf("campaign: %zu queries, availability %.2f, mean |error| %.2f m\n",
-              result.queries.size(), result.rups_availability(),
+              result.outcomes.size(), result.availability(),
               errors.empty() ? 0.0 : util::mean(errors));
   std::printf("key metrics:\n");
   for (const char* name :
        {"syn.windows_scanned", "syn.seeks", "v2v.payload_bytes",
-        "v2v.messages", "gsm.field_evals", "campaign.queries"}) {
+        "v2v.messages", "gsm.field_evals", "fleetcampaign.outcomes"}) {
     if (const auto* c = result.metrics.counter(name)) {
       std::printf("  %-24s %12llu\n", name,
                   static_cast<unsigned long long>(c->value));
     }
   }
-  if (const auto* h = result.metrics.histogram("campaign.query_latency_us")) {
+  if (const auto* h = result.metrics.histogram("fleetcampaign.round_us")) {
     std::printf("  %-24s n=%llu mean=%.0f us max=%.0f us\n",
-                "query_latency_us", static_cast<unsigned long long>(h->count),
+                "round_us", static_cast<unsigned long long>(h->count),
                 h->mean(), h->max);
   }
-  return result.queries.empty() ? 1 : 0;
+  return result.outcomes.empty() ? 1 : 0;
 }
 
 void print_help() {

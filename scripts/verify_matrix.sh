@@ -20,7 +20,9 @@
 #     the fault-injection suites (FaultyChannel truncation/bit-flip paths
 #     and the salvage decoder index arithmetic), the ops-plane surfaces
 #     (sampling profiler seqlock reads, Prometheus exporter socket loop,
-#     shutdown ordering), plus a small end-to-end campaign smoke.
+#     shutdown ordering), the campaign driver suite (convoy and city
+#     drives over every transport: receiver splicing, per-metre context
+#     landing), plus a small end-to-end campaign smoke.
 #     Allocation accounting auto-disables under ASAN (the sanitizer owns
 #     malloc; interposing operator new would bypass redzone poisoning) —
 #     alloc.cpp logs the reason once and test_alloc GTEST_SKIPs its
@@ -28,9 +30,10 @@
 #     suites (arena slot recycling, ticket-table indexing, bounded-ring
 #     queue arithmetic) run here too.
 #  3. tsan — ThreadSanitizer over the shard-concurrency suite, the
-#     thread-pool tests and the pooled streaming-determinism suite:
-#     pooled drains slice shards (and streaming updates slice
-#     neighbours) across workers every round, so any cross-shard or
+#     thread-pool tests, the pooled streaming-determinism suite and the
+#     campaign driver's pooled case: pooled drains slice shards (and
+#     streaming updates and campaign rounds slice neighbours) across
+#     workers every round, so any cross-shard or
 #     cross-neighbour sharing that is not actually private (arena
 #     slots, ticket table, metric handles, queue internals) surfaces
 #     as a data race.
@@ -59,7 +62,7 @@ cmake --build --preset asan-ubsan -j"$jobs" --target \
   test_profiler test_alloc test_expo test_ops_shutdown \
   test_service test_service_concurrency \
   test_service_churn test_stream_recovery test_stream_determinism \
-  test_packed_stream \
+  test_packed_stream test_campaign \
   trace_tool rups_exporterd
 
 echo ""
@@ -74,7 +77,7 @@ for bin in test_obs test_obs_disabled test_obs_recorder test_obs_health \
            test_profiler test_alloc test_expo test_ops_shutdown \
            test_service test_service_concurrency \
            test_service_churn test_stream_recovery test_stream_determinism \
-           test_packed_stream; do
+           test_packed_stream test_campaign; do
   echo "-- $bin"
   "build-asan/tests/$bin"
 done
@@ -99,7 +102,8 @@ echo ""
 echo "== tsan: configure + build shard-concurrency surfaces =="
 cmake --preset tsan
 cmake --build --preset tsan -j"$jobs" --target \
-  test_service_concurrency test_thread_pool test_stream_determinism
+  test_service_concurrency test_thread_pool test_stream_determinism \
+  test_campaign
 
 echo ""
 echo "== tsan: run sanitized binaries =="
@@ -108,6 +112,8 @@ for bin in test_thread_pool test_service_concurrency \
   echo "-- $bin"
   "build-tsan/tests/$bin"
 done
+echo "-- test_campaign (pooled case)"
+build-tsan/tests/test_campaign --gtest_filter='Campaign.PooledRoundsMatchSerial'
 
 echo ""
 echo "verify matrix: PASS"

@@ -43,9 +43,7 @@ FleetMetrics& fleet_metrics() {
 
 }  // namespace
 
-FleetEngine::FleetEngine(FleetConfig config) : config_(config) {
-  config_.cache.enabled = config_.use_cache;
-}
+FleetEngine::FleetEngine(FleetConfig config) : config_(config) {}
 
 void FleetEngine::forget(std::uint64_t id) { shards_.erase(id); }
 

@@ -31,10 +31,9 @@ namespace rups::core {
 
 struct FleetConfig {
   RupsConfig rups{};
+  /// cache.enabled = false makes every query a full SYN search (the
+  /// per-neighbour shards then only provide pack reuse).
   SynCacheConfig cache{};
-  /// When false, every query runs the full SYN search (the per-neighbour
-  /// shards then only provide pack reuse). Mirrors SynCacheConfig::enabled.
-  bool use_cache = true;
   /// Record per-neighbour latency cells (fleet.task_us{neighbour=...}).
   /// The uint64-labeled family lookup formats the label per call, which
   /// heap-allocates; zero-alloc callers (the matcher service) turn this

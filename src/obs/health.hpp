@@ -8,8 +8,8 @@
 // bundle) and a RUPS_LOG warning — then re-arms after recovery.
 //
 // The monitor is feed-based rather than ambient: a driver with ground
-// truth (sim::run_campaign, ConvoySimulation::query) reports each query's
-// hit/miss, absolute error and latency. Because the feeds are explicit,
+// truth (sim::Campaign) reports each query's hit/miss, absolute error and
+// latency. Because the feeds are explicit,
 // HealthMonitor works identically under RUPS_OBS_DISABLED — only the
 // side effects (anomaly bundles, warnings, health.* gauges) compile away —
 // so sim::CampaignResult can embed a HealthReport in every configuration.

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "obs/recorder.hpp"
-#include "obs/timer.hpp"
 #include "road/route_builder.hpp"
 #include "util/angle.hpp"
 
@@ -216,16 +215,13 @@ ConvoySimulation::QueryResult ConvoySimulation::query(
   QueryResult result;
   result.truth = rear.state().position_m - front.state().position_m;
 
-  const double started_us = obs::now_us();
   result.syn_points = rear.engine().find_syn_points(front_context, pool);
   result.rups = core::aggregate_estimates(
       rear.engine().context(), front_context, result.syn_points,
       rear.engine().config().aggregation);
-  const double latency_us = obs::now_us() - started_us;
 
   // The simulator knows ground truth, so every estimate can be checked
-  // the moment it is produced — the recorder keeps the verdicts and an
-  // attached health monitor turns sustained degradation into alerts.
+  // the moment it is produced; the recorder keeps the verdicts.
   if (result.rups.has_value()) {
     obs::FlightRecorder::global().record(
         obs::EventType::kEstimateChecked, "sim.query",
@@ -235,46 +231,50 @@ ConvoySimulation::QueryResult ConvoySimulation::query(
     obs::FlightRecorder::global().record(obs::EventType::kEstimateMissing,
                                          "sim.query", result.truth);
   }
-  if (health_ != nullptr) {
-    health_->on_query(result.rups.has_value(), result.rups_error(),
-                      latency_us);
-  }
+  result.syn_error_m =
+      syn_error_m(rear_index, front_index, front_context, result.syn_points);
+  result.gps = gps_estimate(rear_index, front_index);
+  return result;
+}
 
-  // SYN position error: true route positions of the matched window ends.
-  if (result.syn_points.empty()) {
-    result.syn_error_m = std::numeric_limits<double>::quiet_NaN();
-  } else {
-    double total = 0.0;
-    std::size_t counted = 0;
-    for (const auto& syn : result.syn_points) {
-      const auto metre_rear = static_cast<std::uint64_t>(
-          rear.engine().context().distance_at(syn.index_a + syn.window_m - 1));
-      const auto metre_front = static_cast<std::uint64_t>(
-          front_context.distance_at(syn.index_b + syn.window_m - 1));
-      const double pa = rear.true_position_of_metre(metre_rear);
-      const double pb = front.true_position_of_metre(metre_front);
-      if (std::isnan(pa) || std::isnan(pb)) continue;
-      total += std::abs(pa - pb);
-      ++counted;
-    }
-    result.syn_error_m = counted
-                             ? total / static_cast<double>(counted)
-                             : std::numeric_limits<double>::quiet_NaN();
+double ConvoySimulation::syn_error_m(
+    std::size_t rear_index, std::size_t front_index,
+    const core::ContextTrajectory& front_context,
+    const std::vector<core::SynPoint>& syn_points) const {
+  const VehicleRig& rear = *rigs_.at(rear_index);
+  const VehicleRig& front = *rigs_.at(front_index);
+  double total = 0.0;
+  std::size_t counted = 0;
+  for (const auto& syn : syn_points) {
+    const auto metre_rear = static_cast<std::uint64_t>(
+        rear.engine().context().distance_at(syn.index_a + syn.window_m - 1));
+    const auto metre_front = static_cast<std::uint64_t>(
+        front_context.distance_at(syn.index_b + syn.window_m - 1));
+    const double pa = rear.true_position_of_metre(metre_rear);
+    const double pb = front.true_position_of_metre(metre_front);
+    if (std::isnan(pa) || std::isnan(pb)) continue;
+    total += std::abs(pa - pb);
+    ++counted;
   }
+  return counted ? total / static_cast<double>(counted)
+                 : std::numeric_limits<double>::quiet_NaN();
+}
 
-  // GPS baseline: signed separation of the two latest fixes projected onto
-  // the front vehicle's driving direction.
+std::optional<double> ConvoySimulation::gps_estimate(
+    std::size_t rear_index, std::size_t front_index) const {
+  const VehicleRig& rear = *rigs_.at(rear_index);
+  const VehicleRig& front = *rigs_.at(front_index);
   const auto& fix_r = rear.last_gps_fix();
   const auto& fix_f = front.last_gps_fix();
-  if (fix_r.has_value() && fix_f.has_value() &&
-      now_ - fix_r->time_s < 5.0 && now_ - fix_f->time_s < 5.0) {
-    const double hx = std::cos(front.state().heading_rad);
-    const double hy = std::sin(front.state().heading_rad);
-    const double dx = fix_r->x_m - fix_f->x_m;
-    const double dy = fix_r->y_m - fix_f->y_m;
-    result.gps = dx * hx + dy * hy;
+  if (!(fix_r.has_value() && fix_f.has_value() &&
+        now_ - fix_r->time_s < 5.0 && now_ - fix_f->time_s < 5.0)) {
+    return std::nullopt;
   }
-  return result;
+  const double hx = std::cos(front.state().heading_rad);
+  const double hy = std::sin(front.state().heading_rad);
+  const double dx = fix_r->x_m - fix_f->x_m;
+  const double dy = fix_r->y_m - fix_f->y_m;
+  return dx * hx + dy * hy;
 }
 
 }  // namespace rups::sim

@@ -6,7 +6,6 @@
 
 #include "core/engine.hpp"
 #include "gsm/gsm_field.hpp"
-#include "obs/health.hpp"
 #include "road/route.hpp"
 #include "sensors/gps.hpp"
 #include "sensors/gsm_scanner.hpp"
@@ -149,12 +148,20 @@ class ConvoySimulation {
                                   const core::ContextTrajectory& front_context,
                                   util::ThreadPool* pool = nullptr) const;
 
-  /// Attach a health monitor: every query() feeds it hit/miss, the absolute
-  /// RUPS error versus ground truth, and the compute latency. Non-owning;
-  /// nullptr detaches. The caller keeps the monitor alive across queries.
-  void set_health_monitor(obs::HealthMonitor* monitor) noexcept {
-    health_ = monitor;
-  }
+  /// Mean absolute SYN position error (m): true route positions of the
+  /// matched window ends of `syn_points` found between `rear_index`'s
+  /// context and `front_context` (a copy of `front_index`'s). NaN when no
+  /// point resolves.
+  [[nodiscard]] double syn_error_m(
+      std::size_t rear_index, std::size_t front_index,
+      const core::ContextTrajectory& front_context,
+      const std::vector<core::SynPoint>& syn_points) const;
+
+  /// GPS baseline: signed separation of the two latest fixes projected
+  /// onto the front vehicle's driving direction; nullopt unless both fixes
+  /// are under 5 s old.
+  [[nodiscard]] std::optional<double> gps_estimate(
+      std::size_t rear_index, std::size_t front_index) const;
 
  private:
   Scenario scenario_;
@@ -164,7 +171,6 @@ class ConvoySimulation {
   std::unique_ptr<gsm::GsmField> field_;
   std::vector<std::unique_ptr<VehicleRig>> rigs_;
   double now_ = 0.0;
-  obs::HealthMonitor* health_ = nullptr;
 };
 
 }  // namespace rups::sim

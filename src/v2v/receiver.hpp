@@ -10,7 +10,7 @@ namespace rups::v2v {
 /// Receiver-side view of one neighbour's trajectory, maintained across
 /// exchanges: splices delivered/degraded updates onto a cached copy, tracks
 /// the sync watermark, and falls back to a full transfer when a failed
-/// exchange leaves a gap. Shared by the campaign/fleet simulators and the
+/// exchange leaves a gap. Shared by the campaign driver (src/sim) and the
 /// streaming BeaconSession (src/stream).
 struct V2vReceiver {
   core::ContextTrajectory received;

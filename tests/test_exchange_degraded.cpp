@@ -219,7 +219,7 @@ TEST(ExchangeDegraded, SpliceTailExtendsReceiverCopy) {
 }
 
 TEST(ExchangeDegraded, ReceiverFallsBackToFullAfterFailure) {
-  sim::V2vReceiver receiver(16, 1024);
+  V2vReceiver receiver(16, 1024);
   EXPECT_FALSE(receiver.have_full);
 
   const auto sender = sample_trajectory(300, 16);
@@ -287,15 +287,15 @@ TEST(ExchangeDegraded, CampaignSurvivesTotalBlackout) {
   sim::Scenario scenario =
       sim::Scenario::two_car(7, road::EnvironmentType::kFourLaneUrban);
   scenario.route_length_m = 6'000.0;
-  sim::ConvoySimulation sim(scenario);
   sim::CampaignConfig config;
-  config.max_queries = 3;
-  config.model_v2v_cost = true;
+  config.rounds = 3;
   config.fault = v2v::FaultConfig::iid(1.0);
-  const auto result = sim::run_campaign(sim, config);
-  ASSERT_EQ(result.queries.size(), 3u);
-  for (const auto& q : result.queries) {
-    EXPECT_FALSE(q.rups.has_value());
+  config.engine.fleet.cache.enabled = false;
+  sim::Campaign campaign(scenario, config);
+  const auto result = campaign.run();
+  ASSERT_EQ(result.outcomes.size(), 3u);
+  for (const auto& o : result.outcomes) {
+    EXPECT_FALSE(o.result.estimate.has_value());
   }
   EXPECT_EQ(result.health.exchanges, 3u);
   EXPECT_DOUBLE_EQ(result.health.delivery_failure_rate, 1.0);

@@ -13,7 +13,7 @@
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
-#include "sim/fleet_sim.hpp"
+#include "sim/campaign.hpp"
 
 namespace rups::obs {
 namespace {
@@ -166,8 +166,8 @@ TEST(MetricsExporter, ServesLiveRegistryMidCampaign) {
   // campaign has run the fleet outcome family must appear.
   sim::Scenario scenario =
       sim::Scenario::fleet(3, road::EnvironmentType::kFourLaneUrban, 3);
-  sim::FleetCampaignConfig cfg;
-  cfg.base.max_queries = 6;
+  sim::CampaignConfig cfg;
+  cfg.rounds = 6;
 
   MetricsExporter exporter(
       {}, [] { return Registry::global().snapshot(); });
@@ -175,8 +175,8 @@ TEST(MetricsExporter, ServesLiveRegistryMidCampaign) {
 
   std::atomic<bool> done{false};
   std::thread campaign([&] {
-    sim::FleetSimulation fleet(scenario, cfg);
-    (void)sim::run_fleet_campaign(fleet, cfg);
+    sim::Campaign campaign(scenario, cfg);
+    (void)campaign.run();
     done.store(true);
   });
 

@@ -91,7 +91,7 @@ RoundLog run_fleet(const std::vector<VehicleLog>& logs, std::size_t fleet_n,
                    util::ThreadPool* pool) {
   FleetConfig cfg;
   cfg.rups = fleet_rups_config();
-  cfg.use_cache = use_cache;
+  cfg.cache.enabled = use_cache;
   FleetEngine engine(cfg);
 
   std::vector<ContextTrajectory> contexts;
@@ -312,7 +312,7 @@ TEST(FleetEngine, WarmCacheActuallyTracks) {
 
   FleetConfig cfg;
   cfg.rups = fleet_rups_config();
-  cfg.use_cache = true;
+  cfg.cache.enabled = true;
   FleetEngine engine(cfg);
   std::vector<ContextTrajectory> contexts;
   for (std::size_t v = 0; v < fleet_n + 1; ++v) {

@@ -1,4 +1,4 @@
-#include "sim/fleet_sim.hpp"
+#include "sim/campaign.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,14 @@ Scenario small_fleet_scenario(std::size_t vehicles) {
                                vehicles, /*gap_m=*/30.0);
   s.route_length_m = 6'000.0;
   return s;
+}
+
+CampaignConfig fleet_config(std::size_t rounds) {
+  CampaignConfig cfg;
+  cfg.warmup_s = 350.0;
+  cfg.interval_s = 5.0;
+  cfg.rounds = rounds;
+  return cfg;
 }
 
 TEST(ScenarioFleet, LaysVehiclesOutFrontToBack) {
@@ -29,23 +37,18 @@ TEST(ScenarioFleet, LaysVehiclesOutFrontToBack) {
 }
 
 TEST(FleetSimulation, CampaignQueriesEveryNeighbourEachRound) {
-  FleetCampaignConfig cfg;
-  cfg.base.warmup_s = 350.0;
-  cfg.base.interval_s = 5.0;
-  cfg.base.max_queries = 6;  // rounds
-  FleetSimulation fleet(small_fleet_scenario(4), cfg);
-  EXPECT_EQ(fleet.ego_index(), 3u);  // rear car by default
+  Campaign campaign(small_fleet_scenario(4), fleet_config(6));
+  EXPECT_EQ(campaign.ego(), 3u);  // the rear car
 
-  const FleetCampaignResult result = run_fleet_campaign(fleet, cfg);
-  ASSERT_EQ(result.rounds.size(), 6u);
-  for (const auto& round : result.rounds) {
-    EXPECT_EQ(round.outcomes.size(), 3u);  // every neighbour, every round
-    for (const auto& o : round.outcomes) {
-      EXPECT_NE(o.neighbour_index, fleet.ego_index());
-      EXPECT_LT(o.neighbour_index, 4u);
-      // The ego is the rear car: every neighbour is ahead, truth < 0.
-      EXPECT_LT(o.truth_m, 0.0);
-    }
+  const CampaignResult result = campaign.run();
+  ASSERT_EQ(result.rounds, 6u);
+  ASSERT_EQ(result.outcomes.size(), 6u * 3u);  // every neighbour, every round
+  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
+    const CampaignOutcome& o = result.outcomes[i];
+    EXPECT_EQ(o.neighbour, i % 3);
+    EXPECT_DOUBLE_EQ(o.time_s, result.ticks[i / 3]);
+    // The ego is the rear car: every neighbour is ahead, truth < 0.
+    EXPECT_LT(o.truth_m, 0.0);
   }
 
   // The convoy drives the same road, so the fleet should resolve most
@@ -61,49 +64,22 @@ TEST(FleetSimulation, CampaignQueriesEveryNeighbourEachRound) {
   for (const double e : result.rups_errors()) EXPECT_LT(e, 50.0);
 }
 
-TEST(FleetSimulation, ExplicitEgoIndexIsRespected) {
-  FleetCampaignConfig cfg;
-  cfg.base.warmup_s = 300.0;
-  cfg.base.interval_s = 5.0;
-  cfg.base.max_queries = 2;
-  cfg.ego_index = 0;  // the FRONT car queries backwards
-  FleetSimulation fleet(small_fleet_scenario(3), cfg);
-  EXPECT_EQ(fleet.ego_index(), 0u);
-  const auto result = run_fleet_campaign(fleet, cfg);
-  for (const auto& round : result.rounds) {
-    for (const auto& o : round.outcomes) {
-      EXPECT_NE(o.neighbour_index, 0u);
-      // Ego leads: neighbours are behind, truth > 0.
-      EXPECT_GT(o.truth_m, 0.0);
-    }
-  }
-}
-
 TEST(FleetSimulation, CacheDisabledStillAnswers) {
-  FleetCampaignConfig cfg;
-  cfg.base.warmup_s = 350.0;
-  cfg.base.interval_s = 5.0;
-  cfg.base.max_queries = 3;
-  cfg.use_cache = false;
-  FleetSimulation fleet(small_fleet_scenario(3), cfg);
-  const auto result = run_fleet_campaign(fleet, cfg);
-  ASSERT_EQ(result.rounds.size(), 3u);
+  CampaignConfig cfg = fleet_config(3);
+  cfg.engine.fleet.cache.enabled = false;
+  Campaign campaign(small_fleet_scenario(3), cfg);
+  const CampaignResult result = campaign.run();
+  ASSERT_EQ(result.rounds, 3u);
   EXPECT_EQ(result.cache.tracking_hits, 0u);
   EXPECT_GT(result.cache.full_searches, 0u);
   EXPECT_GT(result.availability(), 0.0);
 }
 
 TEST(FleetSimulation, HealthMonitorSeesEveryOutcome) {
-  FleetCampaignConfig cfg;
-  cfg.base.warmup_s = 350.0;
-  cfg.base.interval_s = 5.0;
-  cfg.base.max_queries = 4;
-  cfg.base.enable_health = true;
-  FleetSimulation fleet(small_fleet_scenario(3), cfg);
-  const auto result = run_fleet_campaign(fleet, cfg);
-  std::size_t outcomes = 0;
-  for (const auto& round : result.rounds) outcomes += round.outcomes.size();
-  EXPECT_EQ(result.health.samples, outcomes);
+  Campaign campaign(small_fleet_scenario(3), fleet_config(4));
+  const CampaignResult result = campaign.run();
+  EXPECT_EQ(result.health.samples, result.outcomes.size());
+  EXPECT_EQ(result.health.exchanges, result.outcomes.size());
 }
 
 }  // namespace

@@ -52,14 +52,15 @@ TEST(MixedRoute, HeadingEstimateTracksTruthThroughTurns) {
 }
 
 TEST(MixedRoute, RupsAccuracySurvivesTurnsAndEnvChanges) {
-  ConvoySimulation sim(mixed_scenario(89));
   CampaignConfig cfg;
-  cfg.max_queries = 40;
+  cfg.rounds = 40;
   cfg.interval_s = 5.0;
-  const auto result = run_campaign(sim, cfg);
+  cfg.engine.fleet.cache.enabled = false;
+  Campaign campaign(mixed_scenario(89), cfg);
+  const auto result = campaign.run();
   util::RunningStats rde;
   for (double e : result.rups_errors()) rde.add(e);
-  EXPECT_GT(result.rups_availability(), 0.8);
+  EXPECT_GT(result.availability(), 0.8);
   ASSERT_GT(rde.count(), 25u);
   EXPECT_LT(rde.mean(), 8.0);
   EXPECT_LT(util::median(result.rups_errors()), 3.0);

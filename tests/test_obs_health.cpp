@@ -134,19 +134,19 @@ TEST(HealthMonitor, CampaignSynDroughtProducesDiagnosticsBundle) {
       sim::Scenario::two_car(31, road::EnvironmentType::kFourLaneUrban);
   scenario.route_length_m = 6'000.0;
   scenario.scanner_base.sensitivity_dbm = 0.0;  // total GSM deafness
-  sim::ConvoySimulation sim(scenario);
-
   sim::CampaignConfig cfg;
   cfg.warmup_s = 350.0;
   cfg.interval_s = 3.0;
-  cfg.max_queries = 8;
-  cfg.model_v2v_cost = false;
+  cfg.rounds = 8;
+  cfg.transport = sim::Transport::kIdeal;
+  cfg.engine.fleet.cache.enabled = false;
   cfg.health = tight_config();
   cfg.diagnostics_dir = dir;
 
-  const auto result = sim::run_campaign(sim, cfg);
-  ASSERT_GE(result.queries.size(), 6u);
-  EXPECT_DOUBLE_EQ(result.rups_availability(), 0.0);
+  sim::Campaign campaign(scenario, cfg);
+  const auto result = campaign.run();
+  ASSERT_GE(result.outcomes.size(), 6u);
+  EXPECT_DOUBLE_EQ(result.availability(), 0.0);
   EXPECT_FALSE(result.health.healthy());
   EXPECT_DOUBLE_EQ(result.health.availability, 0.0);
   EXPECT_GE(result.health.miss_streak, 6u);

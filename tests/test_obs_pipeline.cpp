@@ -12,7 +12,6 @@
 
 #include "obs/obs.hpp"
 #include "sim/campaign.hpp"
-#include "sim/convoy_sim.hpp"
 
 namespace rups {
 namespace {
@@ -21,16 +20,16 @@ sim::CampaignResult run_small_campaign() {
   sim::Scenario scenario =
       sim::Scenario::two_car(7, road::EnvironmentType::kFourLaneUrban);
   scenario.route_length_m = 6'000.0;
-  sim::ConvoySimulation sim(scenario);
   sim::CampaignConfig cfg;
-  cfg.max_queries = 5;
-  cfg.model_v2v_cost = true;
-  return sim::run_campaign(sim, cfg);
+  cfg.rounds = 5;
+  cfg.engine.fleet.cache.enabled = false;
+  sim::Campaign campaign(scenario, cfg);
+  return campaign.run();
 }
 
 TEST(ObsPipeline, CampaignProducesCostMetrics) {
   const sim::CampaignResult result = run_small_campaign();
-  ASSERT_FALSE(result.queries.empty());
+  ASSERT_FALSE(result.outcomes.empty());
   const obs::MetricsSnapshot& snap = result.metrics;
 
   // SYN-point search cost (Sec. V-A).
@@ -39,7 +38,7 @@ TEST(ObsPipeline, CampaignProducesCostMetrics) {
   EXPECT_GT(windows->value, 0u);
   const auto* seeks = snap.counter("syn.seeks");
   ASSERT_NE(seeks, nullptr);
-  EXPECT_GE(seeks->value, result.queries.size());
+  EXPECT_GE(seeks->value, result.outcomes.size());
 
   // V2V communication cost (Sec. V-B): full context + incremental tails.
   const auto* bytes = snap.counter("v2v.payload_bytes");
@@ -47,17 +46,17 @@ TEST(ObsPipeline, CampaignProducesCostMetrics) {
   EXPECT_GT(bytes->value, 0u);
   const auto* messages = snap.counter("v2v.messages");
   ASSERT_NE(messages, nullptr);
-  EXPECT_GE(messages->value, result.queries.size());
+  EXPECT_GE(messages->value, result.outcomes.size());
 
   // Simulation-side field evaluations and per-metre emissions.
   EXPECT_GT(snap.counter("gsm.field_evals")->value, 0u);
   EXPECT_GT(snap.counter("engine.metres_emitted")->value, 0u);
   EXPECT_GT(snap.counter("engine.imu_samples")->value, 0u);
 
-  // Per-query latency histogram.
-  const auto* latency = snap.histogram("campaign.query_latency_us");
+  // Per-round latency histogram.
+  const auto* latency = snap.histogram("fleetcampaign.round_us");
   ASSERT_NE(latency, nullptr);
-  EXPECT_GE(latency->count, result.queries.size());
+  EXPECT_GE(latency->count, result.rounds);
   EXPECT_GT(latency->max, 0.0);
 
   // The snapshot serializes and parses losslessly.
@@ -75,38 +74,40 @@ TEST(ObsPipeline, V2vCostModelMatchesIdealizedEstimatesOnCleanChannel) {
       sim::Scenario::two_car(11, road::EnvironmentType::kFourLaneUrban);
   scenario.route_length_m = 6'000.0;
   sim::CampaignConfig cfg;
-  cfg.max_queries = 3;
+  cfg.rounds = 3;
+  cfg.engine.fleet.cache.enabled = false;
 
-  cfg.model_v2v_cost = true;
-  sim::ConvoySimulation sim_a(scenario);
-  const auto with_v2v = sim::run_campaign(sim_a, cfg);
+  cfg.transport = sim::Transport::kRound;
+  sim::Campaign campaign_a(scenario, cfg);
+  const auto with_v2v = campaign_a.run();
 
-  cfg.model_v2v_cost = false;
-  sim::ConvoySimulation sim_b(scenario);
-  const auto without_v2v = sim::run_campaign(sim_b, cfg);
+  cfg.transport = sim::Transport::kIdeal;
+  sim::Campaign campaign_b(scenario, cfg);
+  const auto without_v2v = campaign_b.run();
 
   // Everything was delivered: no failures, no degradation.
-  EXPECT_EQ(with_v2v.health.exchanges, with_v2v.queries.size());
+  EXPECT_EQ(with_v2v.health.exchanges, with_v2v.outcomes.size());
   EXPECT_DOUBLE_EQ(with_v2v.health.delivery_failure_rate, 0.0);
   EXPECT_DOUBLE_EQ(with_v2v.health.degraded_rate, 0.0);
 
-  ASSERT_EQ(with_v2v.queries.size(), without_v2v.queries.size());
+  ASSERT_EQ(with_v2v.outcomes.size(), without_v2v.outcomes.size());
   std::size_t hits_a = 0, hits_b = 0, both = 0;
-  for (std::size_t i = 0; i < with_v2v.queries.size(); ++i) {
-    EXPECT_EQ(with_v2v.queries[i].truth, without_v2v.queries[i].truth);
-    hits_a += with_v2v.queries[i].rups.has_value();
-    hits_b += without_v2v.queries[i].rups.has_value();
-    if (with_v2v.queries[i].rups.has_value() &&
-        without_v2v.queries[i].rups.has_value()) {
+  for (std::size_t i = 0; i < with_v2v.outcomes.size(); ++i) {
+    const auto& a = with_v2v.outcomes[i];
+    const auto& b = without_v2v.outcomes[i];
+    EXPECT_EQ(a.truth_m, b.truth_m);
+    hits_a += a.result.estimate.has_value();
+    hits_b += b.result.estimate.has_value();
+    if (a.result.estimate.has_value() && b.result.estimate.has_value()) {
       ++both;
-      EXPECT_NEAR(with_v2v.queries[i].rups->distance_m,
-                  without_v2v.queries[i].rups->distance_m, 2.0);
+      EXPECT_NEAR(a.result.estimate->distance_m,
+                  b.result.estimate->distance_m, 2.0);
     }
   }
   // Quantization may flip a borderline query either way, but not all of
   // them, and most queries must resolve on both paths.
   EXPECT_LE(hits_a > hits_b ? hits_a - hits_b : hits_b - hits_a, 1u);
-  EXPECT_GE(both + 1, with_v2v.queries.size());
+  EXPECT_GE(both + 1, with_v2v.outcomes.size());
 }
 
 TEST(ObsPipeline, ChromeTraceCapturesCampaignSpans) {
@@ -127,7 +128,7 @@ TEST(ObsPipeline, ChromeTraceCapturesCampaignSpans) {
   const std::string text = buf.str();
   EXPECT_EQ(text.front(), '[');
   EXPECT_NE(text.find("\"name\": \"syn.seek\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\": \"campaign.query\""), std::string::npos);
+  EXPECT_NE(text.find("\"name\": \"fleetcampaign.round\""), std::string::npos);
   EXPECT_NE(text.find("\"name\": \"v2v.exchange\""), std::string::npos);
   std::filesystem::remove(path);
 }

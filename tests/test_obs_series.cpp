@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "sim/fleet_sim.hpp"
+#include "sim/campaign.hpp"
 #include "util/csv.hpp"
 #include "util/thread_pool.hpp"
 
@@ -251,23 +251,23 @@ TEST(SeriesData, CsvIsOneRowPerWindowWithHashKindHeaders) {
 /// execution mode).
 TEST(SeriesDeterminism, SerialAndPooledFleetRunsMatchOnSimTimeColumns) {
   const auto run = [](util::ThreadPool* pool) {
-    sim::FleetCampaignConfig cfg;
-    cfg.base.warmup_s = 350.0;
-    cfg.base.interval_s = 5.0;
-    cfg.base.max_queries = 6;  // rounds
-    cfg.base.series.enabled = true;
-    cfg.base.series.window_s = 12.0;
-    cfg.base.series.prefixes = {"fleet"};  // fleet.* and fleetcampaign.*
+    sim::CampaignConfig cfg;
+    cfg.warmup_s = 350.0;
+    cfg.interval_s = 5.0;
+    cfg.rounds = 6;
+    cfg.series.enabled = true;
+    cfg.series.window_s = 12.0;
+    cfg.series.prefixes = {"fleet"};  // fleet.* and fleetcampaign.*
     sim::Scenario scenario = sim::Scenario::fleet(
         5, road::EnvironmentType::kFourLaneUrban, 4, /*gap_m=*/30.0);
     scenario.route_length_m = 6'000.0;
-    sim::FleetSimulation fleet(scenario, cfg);
-    return sim::run_fleet_campaign(fleet, cfg, pool);
+    sim::Campaign campaign(scenario, cfg);
+    return campaign.run(pool);
   };
 
-  const sim::FleetCampaignResult serial = run(nullptr);
+  const sim::CampaignResult serial = run(nullptr);
   util::ThreadPool pool(3);
-  const sim::FleetCampaignResult pooled = run(&pool);
+  const sim::CampaignResult pooled = run(&pool);
 
   ASSERT_FALSE(serial.series.empty());
   EXPECT_EQ(serial.series.window_begin_s, pooled.series.window_begin_s);

@@ -17,7 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/timer.hpp"
-#include "sim/fleet_sim.hpp"
+#include "sim/campaign.hpp"
 #include "util/json.hpp"
 
 namespace rups::obs {
@@ -42,10 +42,10 @@ TEST(OpsShutdown, OrderedTeardownLeavesParseableTrace) {
     // profiler samples them and the exporter serves scrapes.
     sim::Scenario scenario =
         sim::Scenario::fleet(5, road::EnvironmentType::kFourLaneUrban, 3);
-    sim::FleetCampaignConfig cfg;
-    cfg.base.max_queries = 4;
-    sim::FleetSimulation fleet(scenario, cfg);
-    (void)sim::run_fleet_campaign(fleet, cfg);
+    sim::CampaignConfig cfg;
+    cfg.rounds = 4;
+    sim::Campaign campaign(scenario, cfg);
+    (void)campaign.run();
 
     std::string body;
     EXPECT_EQ(http_get("127.0.0.1", exporter.port(), "/metrics", body), 200);

@@ -128,7 +128,7 @@ std::vector<Checkpoint> run_batch_reference(std::uint64_t seed) {
   core::FleetConfig fcfg;
   fcfg.rups.channels = ccfg.channels;
   fcfg.rups.context_capacity_m = ccfg.context_capacity_m;
-  fcfg.use_cache = false;
+  fcfg.cache.enabled = false;
   core::FleetEngine fleet(fcfg);
 
   std::vector<std::uint64_t> ids;
