@@ -1,17 +1,17 @@
 // Convoy tracking: the intro's motivating safety application. The rear car
 // continuously tracks the front car at 2 Hz using the Sec. V-B strategy —
-// one full context exchange to lock a SYN point, then cheap incremental
-// tail updates — and raises an alert when the gap closes fast (front car
+// one full context sync, then beacons carrying only the front car's newest
+// metres, each estimate a narrow SynCache re-verify around the locked
+// alignment — and raises an alert when the gap closes fast (front car
 // braking hard).
 //
 //   $ ./convoy_tracking [seed]
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/tracker.hpp"
-#include "sim/convoy_sim.hpp"
-#include "v2v/exchange.hpp"
+#include "sim/campaign.hpp"
 
 using namespace rups;
 
@@ -24,82 +24,67 @@ int main(int argc, char** argv) {
   scenario.route_length_m = 10'000.0;
   scenario.traffic = vehicle::TrafficDensity::kModerate;
 
-  sim::ConvoySimulation sim(scenario);
+  sim::CampaignConfig config;
+  config.warmup_s = 400.0;
+  config.interval_s = 0.5;
+  config.rounds = 240;  // 120 s at 2 Hz
+  config.transport = sim::Transport::kBeacon;
+  sim::Campaign campaign(scenario, config);
   std::printf("warming up (sensor calibration + context build)...\n");
-  sim.run_until(400.0);
-
-  const auto& front = sim.rig(0);
-  const auto& rear = sim.rig(1);
-
-  // Initial full exchange locks the tracker.
-  v2v::DsrcLink link(seed);
-  v2v::ExchangeSession session(&link);
-  core::NeighbourTracker::Config tracker_cfg;
-  tracker_cfg.syn = rear.engine().config().syn;
-  core::NeighbourTracker tracker(tracker_cfg);
-
-  auto full = session.exchange_full(front.engine().context());
-  if (!tracker.initialize(rear.engine().context(), full.trajectory)) {
-    std::printf("could not lock a SYN point — aborting\n");
-    return 1;
-  }
-  std::printf("SYN lock acquired (full exchange: %zu B, %.3f s)\n\n",
-              full.stats.payload_bytes, full.stats.duration_s);
-  std::printf("%8s %10s %10s %8s %9s %s\n", "t(s)", "est(m)", "truth(m)",
-              "err(m)", "bytes", "event");
 
   double prev_gap = 0.0;
+  double prev_t = 0.0;
   bool have_prev = false;
-  int refreshes = 0, alerts = 0;
-  std::size_t incremental_bytes = 0;
+  int alerts = 0;
+  std::size_t estimates = 0;
+  std::size_t initial_bytes = 0;
+  std::size_t bytes_before = 0;
 
-  for (double t = 400.5; t <= 520.0; t += 0.5) {
-    sim.run_until(t);
-
-    // Incremental tail update from the front car (its newest metres only).
-    const core::ContextTrajectory* cached = tracker.neighbour();
-    const std::uint64_t since =
-        cached->first_metre() + cached->size();
-    const auto tail = session.exchange_tail(front.engine().context(), since);
-    incremental_bytes += tail.stats.payload_bytes;
-    tracker.ingest_tail(tail.trajectory);
-
-    // Maintenance: narrow re-verify / drift accounting; full refresh when
-    // the tracker asks for one.
-    if (!tracker.maintain(rear.engine().context()) ||
-        tracker.needs_full_refresh()) {
-      full = session.exchange_full(front.engine().context());
-      tracker.initialize(rear.engine().context(), full.trajectory);
-      ++refreshes;
+  for (std::size_t tick = 0; tick < config.rounds && campaign.advance();
+       ++tick) {
+    const auto step = campaign.exchange_and_estimate();
+    const std::size_t bytes = campaign.v2v_bytes() - bytes_before;
+    bytes_before += bytes;
+    if (tick == 0) {
+      initial_bytes = bytes;
+      std::printf("initial full sync: %zu B\n\n", initial_bytes);
+      std::printf("%8s %10s %10s %8s %9s %s\n", "t(s)", "est(m)", "truth(m)",
+                  "err(m)", "bytes", "event");
     }
 
-    const auto est = tracker.estimate(rear.engine().context());
-    if (!est.has_value()) continue;
-    const double truth =
-        rear.state().position_m - front.state().position_m;
-    const double gap = -est->distance_m;  // distance to the car ahead
+    // No outcome when neither car moved (the last estimate still holds).
+    if (step.empty() || !step[0].result.estimate.has_value()) continue;
+    const sim::CampaignOutcome& o = step[0];
+    ++estimates;
+    const double t = campaign.now();
+    const double est = o.result.estimate->distance_m;
+    const double gap = -est;  // distance to the car ahead
 
     const char* event = "";
     if (have_prev) {
-      const double closing_mps = (prev_gap - gap) / 0.5;
+      const double closing_mps = (prev_gap - gap) / (t - prev_t);
       if (closing_mps > 3.0 && gap < 40.0) {
         event = "!! CLOSING FAST — front car braking";
         ++alerts;
       }
     }
     prev_gap = gap;
+    prev_t = t;
     have_prev = true;
 
-    // Print once a second (queries run at 2 Hz).
+    // Print every 5 s (estimates run at 2 Hz) and on every alert.
     if (std::fmod(t, 5.0) < 0.25 || event[0] != '\0') {
-      std::printf("%8.1f %10.2f %10.2f %8.2f %9zu %s\n", t, est->distance_m,
-                  truth, std::abs(est->distance_m - truth),
-                  tail.stats.payload_bytes, event);
+      std::printf("%8.1f %10.2f %10.2f %8.2f %9zu %s\n", t, est, o.truth_m,
+                  std::abs(est - o.truth_m), bytes, event);
     }
   }
 
-  std::printf("\ntracked 120 s at 2 Hz: %d full refreshes, %zu B incremental"
-              " (vs %zu B per full exchange), %d hard-brake alerts\n",
-              refreshes, incremental_bytes, full.stats.payload_bytes, alerts);
-  return 0;
+  const stream::BeaconStats beacons = campaign.beacon_stats();
+  std::printf(
+      "\ntracked 120 s at 2 Hz: %zu estimates, %llu full syncs (initial"
+      " included), %zu B of beacons after the initial sync (vs %zu B for"
+      " it), %d hard-brake alerts\n",
+      estimates, static_cast<unsigned long long>(beacons.resyncs),
+      campaign.v2v_bytes() - initial_bytes, initial_bytes, alerts);
+  return estimates > 0 ? 0 : 1;
 }

@@ -30,10 +30,11 @@
 #     suites (arena slot recycling, ticket-table indexing, bounded-ring
 #     queue arithmetic) run here too.
 #  3. tsan — ThreadSanitizer over the shard-concurrency suite, the
-#     thread-pool tests, the pooled streaming-determinism suite and the
-#     campaign driver's pooled case: pooled drains slice shards (and
-#     streaming updates and campaign rounds slice neighbours) across
-#     workers every round, so any cross-shard or
+#     thread-pool tests, the pooled streaming-determinism suite, the
+#     health monitor suite (an exporter thread calls report() while the
+#     driver feeds) and the campaign driver's pooled case: pooled drains
+#     slice shards (and streaming updates and campaign rounds slice
+#     neighbours) across workers every round, so any cross-shard or
 #     cross-neighbour sharing that is not actually private (arena
 #     slots, ticket table, metric handles, queue internals) surfaces
 #     as a data race.
@@ -103,12 +104,12 @@ echo "== tsan: configure + build shard-concurrency surfaces =="
 cmake --preset tsan
 cmake --build --preset tsan -j"$jobs" --target \
   test_service_concurrency test_thread_pool test_stream_determinism \
-  test_campaign
+  test_obs_health test_campaign
 
 echo ""
 echo "== tsan: run sanitized binaries =="
 for bin in test_thread_pool test_service_concurrency \
-           test_stream_determinism; do
+           test_stream_determinism test_obs_health; do
   echo "-- $bin"
   "build-tsan/tests/$bin"
 done

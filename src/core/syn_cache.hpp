@@ -26,8 +26,9 @@ namespace rups::core {
 
 struct SynCacheConfig {
   /// Half-width (in slide positions) of the re-verification band around the
-  /// predicted alignment. Covers inter-query odometer drift; the existing
-  /// NeighbourTracker uses the same 12 m figure.
+  /// predicted alignment. Covers inter-query odometer drift: on a physical
+  /// convoy at 2 Hz every estimate equals a full search (test_campaign's
+  /// convoy × beacon case pins this).
   std::size_t verify_radius_m = 12;
   /// Trailing region of each pack re-packed every sync (binder retro-fill
   /// reach; see PackedContext).

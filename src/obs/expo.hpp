@@ -72,7 +72,9 @@ class MetricsExporter {
   using HealthFn = std::function<HealthReport()>;
 
   /// `snapshot` feeds /metrics; `health` (optional) feeds /healthz —
-  /// without it /healthz always reports 200.
+  /// without it /healthz always reports 200. Both run on the serving
+  /// thread, concurrently with whatever feeds the registry or monitor
+  /// (HealthMonitor::report() locks against its feeds).
   MetricsExporter(Options options, SnapshotFn snapshot, HealthFn health = {});
   MetricsExporter(const MetricsExporter&) = delete;
   MetricsExporter& operator=(const MetricsExporter&) = delete;

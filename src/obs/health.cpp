@@ -21,9 +21,12 @@ std::string num(double v) {
 }
 
 /// Linear-interpolated order statistic of a rolling window, q in [0, 1].
-double window_quantile(const util::RingBuffer<double>& window, double q) {
+/// Sorts in `sorted`, whose capacity covers the window: no allocation.
+double window_quantile(const util::RingBuffer<double>& window, double q,
+                       std::vector<double>& sorted) {
   if (window.empty()) return 0.0;
-  std::vector<double> sorted = window.to_vector();
+  sorted.clear();
+  for (std::size_t i = 0; i < window.size(); ++i) sorted.push_back(window[i]);
   std::sort(sorted.begin(), sorted.end());
   q = std::clamp(q, 0.0, 1.0);
   const double rank = q * static_cast<double>(sorted.size() - 1);
@@ -76,10 +79,12 @@ HealthMonitor::HealthMonitor(HealthConfig config)
       deliveries_(config.window == 0 ? 1 : config.window),
       admitted_(config.window == 0 ? 1 : config.window) {
   config_.window = hits_.capacity();
+  scratch_.reserve(config_.window);
 }
 
 void HealthMonitor::on_query(bool hit, std::optional<double> abs_error_m,
                              double latency_us) {
+  const std::lock_guard lock(mutex_);
   ++samples_;
   hits_.push(hit ? 1 : 0);
   if (abs_error_m.has_value()) errors_.push(std::abs(*abs_error_m));
@@ -89,6 +94,7 @@ void HealthMonitor::on_query(bool hit, std::optional<double> abs_error_m,
 }
 
 void HealthMonitor::on_exchange(bool usable, bool degraded) {
+  const std::lock_guard lock(mutex_);
   ++exchanges_;
   deliveries_.push(usable ? (degraded ? 1 : 0) : 2);
 
@@ -112,6 +118,7 @@ void HealthMonitor::on_exchange(bool usable, bool degraded) {
 }
 
 void HealthMonitor::on_admission(bool accepted) {
+  const std::lock_guard lock(mutex_);
   ++admissions_;
   admitted_.push(accepted ? 1 : 0);
 
@@ -138,8 +145,8 @@ void HealthMonitor::evaluate() {
   for (std::size_t i = 0; i < hits_.size(); ++i) window_hits += hits_[i];
   const double availability =
       hits_.empty() ? 0.0 : window_hits / static_cast<double>(hits_.size());
-  const double error_p95 = window_quantile(errors_, 0.95);
-  const double latency_p99 = window_quantile(latencies_, 0.99);
+  const double error_p95 = window_quantile(errors_, 0.95, scratch_);
+  const double latency_p99 = window_quantile(latencies_, 0.99, scratch_);
 
   Registry& reg = Registry::global();
   reg.gauge("health.availability").set(availability);
@@ -195,14 +202,15 @@ void HealthMonitor::fire(const char* rule, const char* anomaly_label,
 }
 
 HealthReport HealthMonitor::report() const {
+  const std::lock_guard lock(mutex_);
   HealthReport r;
   r.samples = samples_;
   double window_hits = 0.0;
   for (std::size_t i = 0; i < hits_.size(); ++i) window_hits += hits_[i];
   r.availability =
       hits_.empty() ? 0.0 : window_hits / static_cast<double>(hits_.size());
-  r.error_p95_m = window_quantile(errors_, 0.95);
-  r.latency_p99_us = window_quantile(latencies_, 0.99);
+  r.error_p95_m = window_quantile(errors_, 0.95, scratch_);
+  r.latency_p99_us = window_quantile(latencies_, 0.99, scratch_);
   r.miss_streak = miss_streak_;
   r.exchanges = exchanges_;
   double failures = 0.0;

@@ -15,6 +15,7 @@
 // so sim::CampaignResult can embed a HealthReport in every configuration.
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -88,7 +89,8 @@ class HealthMonitor {
 
   /// Observe one query: whether RUPS produced an estimate, its absolute
   /// error versus ground truth when known, and end-to-end latency.
-  /// Evaluates every rule; not thread-safe (one driver feeds one monitor).
+  /// Evaluates every rule. The feeds and report() serialize on one mutex,
+  /// so an exporter thread may call report() while a driver feeds.
   void on_query(bool hit, std::optional<double> abs_error_m,
                 double latency_us);
 
@@ -114,6 +116,10 @@ class HealthMonitor {
             bool violated, double value, double threshold);
 
   HealthConfig config_;
+  /// Guards every field below: one driver feeds, an exporter reports.
+  mutable std::mutex mutex_;
+  /// Sort buffer of the window quantiles, sized to the window once.
+  mutable std::vector<double> scratch_;
   util::RingBuffer<unsigned char> hits_;  ///< not bool: vector<bool> proxies
   util::RingBuffer<double> errors_;     ///< only queries with known error
   util::RingBuffer<double> latencies_;

@@ -44,12 +44,7 @@ MatcherService::MatcherService(ServiceConfig config)
       m_estimates_(obs::Registry::global().counter("service.estimates")),
       m_admission_(obs::Registry::global().counter_family(
           "service.admission", "reason")),
-      m_latency_(obs::Registry::global().histogram("service.request_us")),
-      m_stream_updates_(
-          obs::Registry::global().counter("service.stream.updates")),
-      m_stream_estimates_(
-          obs::Registry::global().counter("service.stream.estimates")),
-      m_stream_us_(obs::Registry::global().histogram("stream.update_us")) {
+      m_latency_(obs::Registry::global().histogram("service.request_us")) {
   config_.shard_count = std::max<std::size_t>(1, config_.shard_count);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   if (config_.cell_m <= 0.0) config_.cell_m = 250.0;
@@ -109,19 +104,6 @@ bool MatcherService::deregister_vehicle(std::uint64_t id) {
       sit = session_index_.erase(sit);
     } else {
       ++sit;
-    }
-  }
-
-  // Streaming subscriptions on the slot go back to the freelist (their
-  // pinned sessions were just released above).
-  for (auto sub_it = stream_index_.begin(); sub_it != stream_index_.end();) {
-    StreamSub& sub = stream_subs_[sub_it->second];
-    if (sub.ego_slot == slot || sub.neighbour_slot == slot) {
-      sub.active = false;
-      stream_free_.push_back(sub_it->second);
-      sub_it = stream_index_.erase(sub_it);
-    } else {
-      ++sub_it;
     }
   }
 
@@ -294,135 +276,6 @@ void MatcherService::purge_queued(std::uint32_t slot) {
       (void)shard.queue.push(request);  // cannot fail: one slot just freed
     }
   }
-}
-
-MatcherService::Ticket MatcherService::subscribe(std::uint64_t ego_id,
-                                                 std::uint64_t neighbour_id) {
-  obs::Registry& reg = obs::Registry::global();
-  m_requests_.inc();
-
-  const auto ego_it = vehicle_index_.find(ego_id);
-  const auto nb_it = vehicle_index_.find(neighbour_id);
-  if (ego_it == vehicle_index_.end() || nb_it == vehicle_index_.end() ||
-      ego_id == neighbour_id) {
-    return reject(Admission::kUnknownVehicle);
-  }
-  const std::uint32_t ego_slot = ego_it->second;
-  const std::uint32_t nb_slot = nb_it->second;
-  const std::uint64_t key = pair_key(ego_slot, nb_slot);
-
-  const auto accept = [&](std::uint32_t sub_index) {
-    m_admission_.with(admission_reason(Admission::kAccepted)).inc();
-    if (health_ != nullptr) health_->on_admission(true);
-    Ticket t;
-    t.admission = Admission::kAccepted;
-    t.index = sub_index;
-    t.shard = shard_of_position(vehicles_[ego_slot].position_m);
-    return t;
-  };
-
-  // Idempotent: re-subscribing an open pair returns the existing slot.
-  if (const auto sub_it = stream_index_.find(key);
-      sub_it != stream_index_.end()) {
-    return accept(sub_it->second);
-  }
-
-  // Pin the pair session — the same arena bound the round path admits
-  // against, so subscriptions cannot grow SynCache state past max_sessions.
-  auto session_it = session_index_.find(key);
-  if (session_it == session_index_.end()) {
-    const std::uint32_t session = sessions_.acquire_index();
-    if (session == util::FixedPool<PairSession>::npos) {
-      return reject(Admission::kSessionsFull);
-    }
-    sessions_[session].ego_slot = ego_slot;
-    sessions_[session].neighbour_slot = nb_slot;
-    session_it = session_index_.emplace(key, session).first;
-    reg.gauge("service.sessions").set(
-        static_cast<double>(sessions_.in_use()));
-  }
-
-  std::uint32_t sub_index;
-  if (!stream_free_.empty()) {
-    sub_index = stream_free_.back();
-    stream_free_.pop_back();
-  } else if (stream_subs_.size() < sessions_.capacity()) {
-    sub_index = static_cast<std::uint32_t>(stream_subs_.size());
-    stream_subs_.emplace_back();
-  } else {
-    return reject(Admission::kQueueFull);
-  }
-
-  StreamSub& sub = stream_subs_[sub_index];
-  sub.session = session_it->second;
-  sub.ego_slot = ego_slot;
-  sub.neighbour_slot = nb_slot;
-  sub.last_end = 0;
-  sub.active = true;
-  sub.result.resize(1);
-  sub.result[0].estimate.reset();
-  sub.result[0].syn_points.clear();
-  sub.result[0].latency_us = 0.0;
-  stream_index_.emplace(key, sub_index);
-  reg.gauge("service.streams").set(
-      static_cast<double>(stream_index_.size()));
-  return accept(sub_index);
-}
-
-bool MatcherService::unsubscribe(std::uint64_t ego_id,
-                                 std::uint64_t neighbour_id) {
-  const auto ego_it = vehicle_index_.find(ego_id);
-  const auto nb_it = vehicle_index_.find(neighbour_id);
-  if (ego_it == vehicle_index_.end() || nb_it == vehicle_index_.end()) {
-    return false;
-  }
-  const auto sub_it =
-      stream_index_.find(pair_key(ego_it->second, nb_it->second));
-  if (sub_it == stream_index_.end()) return false;
-  stream_subs_[sub_it->second].active = false;
-  stream_free_.push_back(sub_it->second);
-  stream_index_.erase(sub_it);
-  obs::Registry::global().gauge("service.streams").set(
-      static_cast<double>(stream_index_.size()));
-  return true;
-}
-
-void MatcherService::drain_stream_shard(std::size_t shard_index) {
-  for (StreamSub& sub : stream_subs_) {
-    if (!sub.active) continue;
-    VehicleSlot& ego = vehicles_[sub.ego_slot];
-    if (shard_of_position(ego.position_m) != shard_index) continue;
-    const core::ContextTrajectory& traj = ego.traj;
-    const std::uint64_t end =
-        traj.empty() ? 0 : traj.first_metre() + traj.size();
-    if (end == sub.last_end) continue;  // no new context since last update
-
-    VehicleSlot& neighbour = vehicles_[sub.neighbour_slot];
-    const core::ContextTrajectory* nb_traj = &neighbour.traj;
-    const double t0 = obs::now_us();
-    ego.engine.estimate_batch_into(
-        traj, std::span<const core::ContextTrajectory* const>(&nb_traj, 1),
-        std::span<const std::uint64_t>(&neighbour.id, 1), nullptr,
-        sub.result);
-    m_stream_us_.record(obs::now_us() - t0);
-
-    sub.last_end = end;
-    ++sessions_[sub.session].queries;
-    m_stream_updates_.inc();
-    if (sub.result[0].estimate.has_value()) m_stream_estimates_.inc();
-  }
-}
-
-void MatcherService::drain_stream(util::ThreadPool* pool) {
-  if (pool == nullptr || shards_.size() <= 1) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) drain_stream_shard(s);
-    return;
-  }
-  // Same single-consumer discipline as drain(): an ego's subscriptions all
-  // land in its positional shard, so per-ego engine state never crosses a
-  // slice boundary.
-  pool->parallel_for(0, shards_.size(),
-                     [this](std::size_t s) { drain_stream_shard(s); });
 }
 
 }  // namespace rups::service

@@ -24,14 +24,6 @@
 // Round protocol (single-threaded ingest, optionally pooled drain):
 //   begin_round(); observe(...)*; submit(...)*; drain(pool);
 //   result(ticket)*.
-//
-// Streaming mode (DESIGN §17) runs alongside the round protocol: a
-// subscription is a persistent (ego, neighbour) pair re-estimated by
-// drain_stream() whenever the ego context gained metres since the last
-// update — the per-vehicle FleetEngine SynCache turns each update into a
-// ±12 m re-verification, so continuous estimates cost O(radius·w·k), not a
-// full search. Subscriptions pin a pair session (the same arena bound as
-// round traffic) and are torn down by unsubscribe()/deregister_vehicle().
 
 #include <cstdint>
 #include <limits>
@@ -105,10 +97,10 @@ class MatcherService {
   [[nodiscard]] bool register_vehicle(std::uint64_t id,
                                       double position_m = 0.0);
   /// Release a vehicle: its slot, every pair session touching it, the
-  /// SynCache shards other egos keep for it, every streaming subscription
-  /// on it, and any request of it still queued this round (the queued
-  /// request's ticket resolves to "no estimate" instead of reading a
-  /// released slot) all return to the freelists.
+  /// SynCache shards other egos keep for it, and any request of it still
+  /// queued this round (the queued request's ticket resolves to "no
+  /// estimate" instead of reading a released slot) all return to the
+  /// freelists.
   bool deregister_vehicle(std::uint64_t id);
 
   /// Append one context-trajectory metre for `id` and update its road
@@ -134,36 +126,6 @@ class MatcherService {
   [[nodiscard]] const core::FleetEngine::NeighbourResult& result(
       const Ticket& ticket) const {
     return tickets_[ticket.index][0];
-  }
-
-  // --- Streaming mode -----------------------------------------------------
-
-  /// Open (or return the existing) persistent streaming subscription for
-  /// the pair. The ticket's `index` addresses the subscription slot and
-  /// stays valid across rounds until unsubscribe()/deregister; rejections
-  /// reuse the round reasons (kUnknownVehicle, kSessionsFull for the pinned
-  /// pair session, kQueueFull when the subscription table is exhausted).
-  [[nodiscard]] Ticket subscribe(std::uint64_t ego_id,
-                                 std::uint64_t neighbour_id);
-  /// Close the pair's subscription (the pinned session stays cached like
-  /// any round-path session). Returns false when none exists.
-  bool unsubscribe(std::uint64_t ego_id, std::uint64_t neighbour_id);
-
-  /// Re-estimate every subscription whose ego context gained metres since
-  /// its last update. With a pool, subscriptions are sliced by the ego's
-  /// regional shard (all subscriptions of one ego share a shard, so
-  /// per-ego engine state keeps a single consumer); results are identical
-  /// serial or pooled.
-  void drain_stream(util::ThreadPool* pool = nullptr);
-
-  /// Latest streaming result of a subscription ticket. Holds no estimate
-  /// until the first drain_stream() after the ego context grew.
-  [[nodiscard]] const core::FleetEngine::NeighbourResult& stream_result(
-      const Ticket& ticket) const {
-    return stream_subs_[ticket.index].result[0];
-  }
-  [[nodiscard]] std::size_t stream_count() const noexcept {
-    return stream_index_.size();
   }
 
   [[nodiscard]] std::size_t vehicle_count() const noexcept {
@@ -234,21 +196,8 @@ class MatcherService {
     std::vector<double> latencies;  ///< per-request us, last drain
   };
 
-  /// One persistent streaming subscription (see subscribe()).
-  struct StreamSub {
-    std::uint32_t session = 0;
-    std::uint32_t ego_slot = 0;
-    std::uint32_t neighbour_slot = 0;
-    /// Ego context end metre at the last update (0 = never estimated).
-    std::uint64_t last_end = 0;
-    bool active = false;
-    /// Single-element batch slot; capacity persists across updates.
-    std::vector<core::FleetEngine::NeighbourResult> result;
-  };
-
   [[nodiscard]] std::uint32_t shard_of_position(double position_m) const;
   void drain_shard(std::size_t shard_index);
-  void drain_stream_shard(std::size_t shard_index);
   Ticket reject(Admission reason);
   /// Drop queued requests touching `slot` (deregister mid-round); their
   /// tickets resolve to an empty result instead of a released slot.
@@ -264,11 +213,6 @@ class MatcherService {
   /// Per-ticket result slots: single-element batches whose capacity
   /// (including syn_points) persists across rounds.
   std::vector<std::vector<core::FleetEngine::NeighbourResult>> tickets_;
-  /// Streaming subscriptions: slots recycled through stream_free_, looked
-  /// up by the same (ego_slot, neighbour_slot) pair key as sessions.
-  std::vector<StreamSub> stream_subs_;
-  std::vector<std::uint32_t> stream_free_;
-  std::map<std::uint64_t, std::uint32_t> stream_index_;
   std::uint32_t round_requests_ = 0;
   std::uint64_t rounds_ = 0;
   obs::HealthMonitor* health_ = nullptr;
@@ -279,9 +223,6 @@ class MatcherService {
   obs::Counter& m_estimates_;
   obs::CounterFamily& m_admission_;
   obs::Histogram& m_latency_;
-  obs::Counter& m_stream_updates_;
-  obs::Counter& m_stream_estimates_;
-  obs::Histogram& m_stream_us_;
 };
 
 }  // namespace rups::service

@@ -247,6 +247,21 @@ std::size_t Campaign::v2v_bytes() const noexcept {
   return total;
 }
 
+stream::BeaconStats Campaign::beacon_stats() const {
+  stream::BeaconStats total;
+  for (const std::uint64_t id : ids_) {
+    if (const stream::BeaconStats* s = engine_.beacon_stats(id)) {
+      total.beacons += s->beacons;
+      total.diffs += s->diffs;
+      total.no_news += s->no_news;
+      total.rerequests += s->rerequests;
+      total.resyncs += s->resyncs;
+      total.metres_gained += s->metres_gained;
+    }
+  }
+  return total;
+}
+
 void Campaign::tick() {
   if (convoy_) {
     now_ += config_.interval_s;
@@ -445,16 +460,7 @@ CampaignResult Campaign::run(util::ThreadPool* pool) {
   if (!config_.diagnostics_dir.empty()) recorder.set_dump_dir(previous_dump_dir);
   result.cache = engine_.fleet().cache_stats();
   result.v2v_bytes = v2v_bytes();
-  for (const std::uint64_t id : ids_) {
-    if (const stream::BeaconStats* s = engine_.beacon_stats(id)) {
-      result.beacons.beacons += s->beacons;
-      result.beacons.diffs += s->diffs;
-      result.beacons.no_news += s->no_news;
-      result.beacons.rerequests += s->rerequests;
-      result.beacons.resyncs += s->resyncs;
-      result.beacons.metres_gained += s->metres_gained;
-    }
-  }
+  result.beacons = beacon_stats();
   result.health = health_.report();
   // Mirror the span-stage allocation census (when one is being collected)
   // into alloc.count{stage}/alloc.bytes{stage} before the snapshot.

@@ -162,6 +162,8 @@ class Campaign {
     return health_;
   }
   [[nodiscard]] std::size_t v2v_bytes() const noexcept;
+  /// Beacon protocol accounting summed across neighbours (kBeacon only).
+  [[nodiscard]] stream::BeaconStats beacon_stats() const;
 
  private:
   struct CityDrive;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rups::sim {
@@ -142,6 +143,65 @@ TEST(Campaign, TwoCarMatchesClassicQueryBitForBit) {
       }
       // A differential check over misses only would prove little.
       EXPECT_GT(estimates, 0u);
+    }
+  }
+}
+
+// Continuous tracking (Sec. V-B) on the physical drive: one full sync,
+// then beacon tails every 0.5 s, each re-estimated through SynCache's
+// narrow re-verify. The cache must add no error: every estimate equals a
+// full search on the same view.
+TEST(Campaign, ConvoyBeaconTracksWithinBoundsAndMatchesFullSearch) {
+  Scenario scenario = Scenario::two_car(
+      42, road::EnvironmentType::kFourLaneUrban, /*gap_m=*/40.0);
+  scenario.route_length_m = 8'000.0;
+  for (const bool urban : {false, true}) {
+    SCOPED_TRACE(urban ? "urban faults" : "clean channel");
+    CampaignConfig cfg;
+    cfg.warmup_s = 400.0;
+    cfg.interval_s = 0.5;
+    cfg.rounds = 120;
+    cfg.transport = Transport::kBeacon;
+    cfg.fault = urban ? v2v::FaultConfig::urban() : v2v::FaultConfig::clean();
+
+    Campaign tracked(scenario, cfg);
+    // A tick re-estimates only when a context gained metres.
+    std::vector<CampaignOutcome> outcomes;
+    std::size_t ticks = 0;
+    std::size_t full_bytes = 0;
+    while (ticks < cfg.rounds && tracked.advance()) {
+      ++ticks;
+      for (const CampaignOutcome& o : tracked.exchange_and_estimate()) {
+        outcomes.push_back(o);
+      }
+      // The first beacon is the full context sync.
+      if (full_bytes == 0) full_bytes = tracked.v2v_bytes();
+    }
+    ASSERT_EQ(ticks, cfg.rounds);
+    ASSERT_GT(full_bytes, 0u);
+    // The beacons after the initial sync cost less than three full syncs.
+    EXPECT_LT(tracked.v2v_bytes() - full_bytes, 3 * full_bytes);
+
+    util::RunningStats err;
+    for (const CampaignOutcome& o : outcomes) {
+      if (const auto e = o.rups_error()) err.add(*e);
+    }
+    EXPECT_GE(err.count(), 80u);
+    EXPECT_LT(err.mean(), 5.0);
+    EXPECT_LT(err.max(), 20.0);
+
+    cfg.engine.fleet.cache.enabled = false;
+    Campaign searched(scenario, cfg);
+    const CampaignResult reference = searched.run();
+    ASSERT_EQ(reference.outcomes.size(), outcomes.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      const auto& a = outcomes[i].result.estimate;
+      const auto& b = reference.outcomes[i].result.estimate;
+      ASSERT_EQ(a.has_value(), b.has_value()) << "tick " << i;
+      if (!a.has_value()) continue;
+      EXPECT_EQ(a->distance_m, b->distance_m) << "tick " << i;
+      EXPECT_EQ(a->confidence, b->confidence) << "tick " << i;
+      EXPECT_EQ(a->syn_count, b->syn_count) << "tick " << i;
     }
   }
 }

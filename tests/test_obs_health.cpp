@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
+#include "obs/alloc.hpp"
 #include "obs/health.hpp"
 #include "obs/recorder.hpp"
 #include "sim/campaign.hpp"
@@ -121,6 +124,61 @@ TEST(HealthMonitor, ReportJsonParses) {
   const auto& alert = doc.find("alerts")->as_array()[0];
   EXPECT_FALSE(alert.string_or("rule", "").empty());
   EXPECT_GE(alert.number_or("sample_index", 0.0), 4.0);
+}
+
+// Health is always on in the campaign driver, so a warm on_query sits on
+// the zero-alloc estimate path: the window quantiles sort in a scratch
+// buffer the monitor owns.
+TEST(HealthMonitor, WarmOnQueryDoesNotAllocate) {
+  if (!obs::alloc_accounting_available()) {
+    GTEST_SKIP() << "allocation accounting unavailable in this build";
+  }
+  obs::HealthMonitor monitor;  // default rules, window 64
+  // Fill both windows and register every health.* gauge; no rule fires.
+  for (int i = 0; i < 128; ++i) monitor.on_query(true, 1.0 + i % 7, 100.0);
+  const obs::AllocTotals before = obs::thread_alloc_totals();
+  for (int i = 0; i < 256; ++i) monitor.on_query(true, 2.0 + i % 5, 90.0);
+  EXPECT_EQ((obs::thread_alloc_totals() - before).count, 0u);
+  EXPECT_TRUE(monitor.report().healthy());
+}
+
+// The exporter serves /healthz from its own thread while the driver keeps
+// feeding: report() must read a consistent monitor while fire() appends
+// alerts (run under tsan in scripts/verify_matrix.sh).
+TEST(HealthMonitor, ReportIsSafeWhileFeeding) {
+  obs::HealthMonitor monitor(tight_config());
+  constexpr std::uint64_t kQueries = 4000;
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::uint64_t reports = 0;
+  bool monotone = true;
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const obs::HealthReport r = monitor.report();
+      monotone = monotone && r.samples >= last &&
+                 r.alerts.size() <= r.samples;
+      last = r.samples;
+      ++reports;
+      started.store(true, std::memory_order_release);
+    }
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  // Alternating 8-query miss and hit runs: every miss run fires the
+  // availability and streak rules, every hit run re-arms them.
+  for (std::uint64_t i = 0; i < kQueries; ++i) {
+    const bool hit = (i / 8) % 2 == 1;
+    monitor.on_query(hit, hit ? std::optional<double>(1.0) : std::nullopt,
+                     100.0);
+    if (i % 64 == 0) std::this_thread::yield();  // interleave on one core
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_TRUE(monotone);
+  EXPECT_GT(reports, 0u);
+  const obs::HealthReport final_report = monitor.report();
+  EXPECT_EQ(final_report.samples, kQueries);
+  EXPECT_GE(final_report.alerts.size(), kQueries / 16);
 }
 
 // Acceptance: a campaign with a forced SYN drought (scanner deafness, as
