@@ -17,6 +17,9 @@
 #     (random/NaN/±inf/out-of-range dBm through one-shot builds and
 #     eviction-heavy sync cycles must clamp or mask, never UB — the
 #     byte-staggered integer lag passes are prime asan territory),
+#     the binder ingest fuzz (dropout bursts and late, out-of-order
+#     dwells written at any depth while a long-lived pack syncs its
+#     dirty columns by write stamp every metre),
 #     the fault-injection suites (FaultyChannel truncation/bit-flip paths
 #     and the salvage decoder index arithmetic), the ops-plane surfaces
 #     (sampling profiler seqlock reads, Prometheus exporter socket loop,
@@ -63,7 +66,7 @@ cmake --build --preset asan-ubsan -j"$jobs" --target \
   test_profiler test_alloc test_expo test_ops_shutdown \
   test_service test_service_concurrency \
   test_service_churn test_stream_recovery test_stream_determinism \
-  test_packed_stream test_campaign \
+  test_packed_stream test_ingest_fuzz test_campaign \
   trace_tool rups_exporterd
 
 echo ""
@@ -78,7 +81,7 @@ for bin in test_obs test_obs_disabled test_obs_recorder test_obs_health \
            test_profiler test_alloc test_expo test_ops_shutdown \
            test_service test_service_concurrency \
            test_service_churn test_stream_recovery test_stream_determinism \
-           test_packed_stream test_campaign; do
+           test_packed_stream test_ingest_fuzz test_campaign; do
   echo "-- $bin"
   "build-asan/tests/$bin"
 done

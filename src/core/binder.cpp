@@ -37,10 +37,9 @@ void TrajectoryBinder::add_measurement(std::size_t channel, double distance_m,
 void TrajectoryBinder::place(std::uint64_t metre, std::size_t channel,
                              float rssi, ContextTrajectory& trajectory) {
   if (!trajectory.contains_metre(metre)) return;
-  PowerVector& pv =
-      trajectory.mutable_power(trajectory.index_of_metre(metre));
-  if (!pv.measured(channel)) {
-    pv.set(channel, rssi, ChannelState::kMeasured);
+  const std::size_t i = trajectory.index_of_metre(metre);
+  if (!trajectory.power(i).measured(channel)) {
+    trajectory.mutable_power(i).set(channel, rssi, ChannelState::kMeasured);
   }
 }
 
@@ -53,12 +52,15 @@ void TrajectoryBinder::interpolate_channel(std::size_t channel,
   const double span = static_cast<double>(to_metre - from_metre);
   for (std::uint64_t m = from_metre + 1; m < to_metre; ++m) {
     if (!trajectory.contains_metre(m)) continue;
-    PowerVector& pv = trajectory.mutable_power(trajectory.index_of_metre(m));
-    if (pv.state(channel) != ChannelState::kMissing) continue;
+    const std::size_t i = trajectory.index_of_metre(m);
+    // Inspect first: only an actual write stamps the entry.
+    if (trajectory.power(i).state(channel) != ChannelState::kMissing) {
+      continue;
+    }
     const double t = static_cast<double>(m - from_metre) / span;
-    pv.set(channel,
-           static_cast<float>(from_rssi + (to_rssi - from_rssi) * t),
-           ChannelState::kInterpolated);
+    trajectory.mutable_power(i).set(
+        channel, static_cast<float>(from_rssi + (to_rssi - from_rssi) * t),
+        ChannelState::kInterpolated);
   }
 }
 

@@ -84,8 +84,8 @@ void RupsEngine::on_rssi(const sensors::RssiMeasurement& measurement) {
 std::vector<SynPoint> RupsEngine::find_syn_points(
     const ContextTrajectory& neighbour, util::ThreadPool* pool) const {
   const SynSeeker seeker(config_.syn, pool);
-  // The local pack only changes by the metres driven since the last query;
-  // sync extends it incrementally instead of re-extracting per query.
+  // Since the last query the context only gained metres and the binder's
+  // late or interpolated writes; sync re-packs exactly those entries.
   context_pack_.sync(context_);
   return seeker.find(context_, neighbour, &context_pack_, nullptr);
 }

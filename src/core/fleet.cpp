@@ -91,7 +91,7 @@ void FleetEngine::estimate_batch_into(
   // The ego pack is synced once, single-threaded, then read-only for the
   // whole batch; per-id shards are materialized up front because the map
   // must not be mutated from worker threads.
-  ego_pack_.sync(ego, config_.cache.volatile_suffix_m);
+  ego_pack_.sync(ego);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     auto [it, inserted] = shards_.try_emplace(ids[i]);
     if (inserted) {

@@ -94,25 +94,28 @@ QuantParams grid_for_range(double lo, double hi) noexcept {
 
 }  // namespace
 
-std::size_t PackedContext::sync(const ContextTrajectory& t,
-                                std::size_t volatile_suffix_m) {
+std::size_t PackedContext::sync(const ContextTrajectory& t) {
   if (t.empty()) {
     channels_ = t.channels();
     clear();
+    source_ = t.id();
+    revision_ = t.revision();
     return 0;
   }
   const std::uint64_t t_first = t.first_metre();
   const std::uint64_t t_end = t_first + t.size();
   const std::uint64_t packed_end = first_metre_ + metres_;
 
-  // Incremental only when the trajectory is the packed range plus front
-  // evictions and/or appended metres; anything else (width change, rebase,
-  // shrink, gap, a row-subset pack) falls back to a full repack.
-  const bool incremental = metres_ != 0 && !partial_ &&
+  // Incremental only when `t` is the trajectory this pack mirrors, grown
+  // by appends (and the front evictions they caused) and in-place writes;
+  // anything else falls back to a full repack.
+  const bool incremental = metres_ != 0 && !partial_ && source_ == t.id() &&
                            channels_ == t.channels() &&
                            t_first >= first_metre_ && t_first <= packed_end &&
                            t_end >= packed_end && t.size() <= stride_;
-  std::size_t keep = 0;
+  // Entries stamped after `since` are stale: appended or written in place
+  // since the last sync. Stamps start at 1, so 0 marks every entry.
+  std::uint64_t since = 0;
   if (!incremental) {
     reset(t);
   } else {
@@ -122,24 +125,45 @@ std::size_t PackedContext::sync(const ContextTrajectory& t,
     metres_ -= evicted;
     first_metre_ = t_first;
     if (base_ + t.size() > stride_) compact();
-    // Re-pack the trailing volatile region too — the binder retro-fills
-    // interpolated channels behind the newest metre, so recently packed
-    // columns may be stale.
-    keep = metres_ > volatile_suffix_m ? metres_ - volatile_suffix_m : 0;
     metres_ = t.size();
+    since = revision_;
   }
+  source_ = t.id();
+  revision_ = t.revision();
+
+  // Calls fn(from, to) for each maximal run of stale columns.
+  const auto for_each_stale_run = [&](auto&& fn) {
+    for (std::size_t i = 0; i < metres_;) {
+      if (t.stamp(i) <= since) {
+        ++i;
+        continue;
+      }
+      std::size_t j = i + 1;
+      while (j < metres_ && t.stamp(j) > since) ++j;
+      fn(i, j);
+      i = j;
+    }
+  };
 
   // Ranges first: the grid is a function of every live value, so it is
   // known before any value is quantized onto it.
-  for (std::size_t i = keep; i < metres_; ++i) record_range(t, i);
+  std::size_t packed = 0;
+  for_each_stale_run([&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) record_range(t, i);
+    packed += to - from;
+  });
   const QuantParams grid = live_grid();
   if (!(grid == params_)) {
     params_ = grid;
-    keep = 0;
+    quantize(t, 0, metres_, {});
+    packed = metres_;
+  } else {
+    for_each_stale_run([&](std::size_t from, std::size_t to) {
+      quantize(t, from, to, {});
+    });
   }
-  quantize(t, keep, {});
-  columns_packed_counter().inc(metres_ - keep);
-  return metres_ - keep;
+  columns_packed_counter().inc(packed);
+  return packed;
 }
 
 void PackedContext::pack_rows(const ContextTrajectory& t,
@@ -148,7 +172,7 @@ void PackedContext::pack_rows(const ContextTrajectory& t,
   partial_ = true;
   for (std::size_t i = 0; i < metres_; ++i) record_range(t, i);
   params_ = live_grid();
-  quantize(t, 0, rows);
+  quantize(t, 0, metres_, rows);
   columns_packed_counter().inc(metres_);
 }
 
@@ -218,6 +242,7 @@ QuantParams PackedContext::live_grid() const noexcept {
 }
 
 void PackedContext::quantize(const ContextTrajectory& t, std::size_t from,
+                             std::size_t to,
                              std::span<const std::size_t> rows) {
   // Quantize column by column (each PowerVector is contiguous) into a
   // column-major tile, then write every channel row's slice of the tile
@@ -232,8 +257,8 @@ void PackedContext::quantize(const ContextTrajectory& t, std::size_t from,
   const bool all = rows.empty();
   const std::size_t n_rows = all ? channels_ : rows.size();
   const auto channel = [&](std::size_t r) { return all ? r : rows[r]; };
-  for (std::size_t i0 = from; i0 < metres_; i0 += kCols) {
-    const std::size_t cols = std::min(kCols, metres_ - i0);
+  for (std::size_t i0 = from; i0 < to; i0 += kCols) {
+    const std::size_t cols = std::min(kCols, to - i0);
     for (std::size_t r0 = 0; r0 < n_rows; r0 += kRows) {
       const std::size_t n = std::min(kRows, n_rows - r0);
       for (std::size_t j = 0; j < cols; ++j) {

@@ -66,32 +66,25 @@ struct PackedView {
 
 /// Owning, incrementally-maintained pack of one trajectory. sync() mirrors
 /// the trajectory's current retained range:
-///   * pure growth appends new columns (O(channels) per new metre),
+///   * it re-quantizes exactly the entries written since the revision it
+///     last mirrored — appended metres plus the binder's in-place
+///     retro-fills, at any depth (ContextTrajectory write stamps),
 ///   * front eviction just advances the view base (no data movement),
-///   * a trailing `volatile_suffix_m` region is unconditionally re-packed —
-///     the TrajectoryBinder retro-fills interpolated channels up to its
-///     interpolation gap behind the newest metre, so those columns may have
-///     changed since the last sync,
 ///   * a value range that maps to another grid requantizes every column,
-///   * anything else (width change, shrink, gap, rebase) falls back to a
-///     full repack.
+///   * anything else (another trajectory object, a copy included, a width
+///     change, a row-subset pack) falls back to a full repack.
 /// Non-finite values (fuzzed NaN/±inf inputs) are masked unusable. The
 /// backing buffer over-allocates by ~25% so eviction-driven compaction is
 /// amortized O(channels) per appended metre. Move-only. Every packed
 /// column is counted in the `syn.columns_packed` counter.
 class PackedContext {
  public:
-  /// Default re-pack horizon; must cover the binder's retro-fill reach
-  /// (TrajectoryBinder::Config::max_interpolation_gap_m, default 40).
-  static constexpr std::size_t kDefaultVolatileSuffixM = 48;
-
   PackedContext() = default;
 
   /// Bring the pack in sync with `t`. Returns the number of columns
-  /// (re)packed — size() on a full repack or requantize,
-  /// ~volatile_suffix_m + growth in steady state.
-  std::size_t sync(const ContextTrajectory& t,
-                   std::size_t volatile_suffix_m = kDefaultVolatileSuffixM);
+  /// (re)packed — size() on a full repack or requantize, the entries
+  /// written since the last sync otherwise (0 when nothing was).
+  std::size_t sync(const ContextTrajectory& t);
 
   /// One-shot pack of `t` that quantizes only the channel rows in `rows`
   /// (a seek's own pack of a side the caller did not supply). The grid
@@ -113,17 +106,18 @@ class PackedContext {
   [[nodiscard]] std::uint64_t first_metre() const noexcept {
     return first_metre_;
   }
-  /// True when the pack currently mirrors `t`'s retained range on every
-  /// channel row (never for a pack_rows() pack).
+  /// True when the pack mirrors `t` — this trajectory object at its
+  /// current revision — on every channel row (never for a pack_rows()
+  /// pack).
   [[nodiscard]] bool in_sync_with(const ContextTrajectory& t) const noexcept {
-    return !partial_ && channels_ == t.channels() && metres_ == t.size() &&
-           (t.empty() || first_metre_ == t.first_metre());
+    return !partial_ && source_ == t.id() && revision_ == t.revision();
   }
 
   void clear() noexcept {
     base_ = metres_ = 0;
     first_metre_ = 0;
     partial_ = false;
+    source_ = revision_ = 0;
   }
 
  private:
@@ -131,9 +125,9 @@ class PackedContext {
   void reset(const ContextTrajectory& t);
   /// Record the value range of column `index` of `t`.
   void record_range(const ContextTrajectory& t, std::size_t index);
-  /// Quantize columns [from, size()) of `t` onto params_: every channel
-  /// row, or only `rows` when it is non-empty.
-  void quantize(const ContextTrajectory& t, std::size_t from,
+  /// Quantize columns [from, to) of `t` onto params_: every channel row,
+  /// or only `rows` when it is non-empty.
+  void quantize(const ContextTrajectory& t, std::size_t from, std::size_t to,
                 std::span<const std::size_t> rows);
   /// Grid of the live columns' value range.
   [[nodiscard]] QuantParams live_grid() const noexcept;
@@ -145,6 +139,8 @@ class PackedContext {
   std::size_t base_ = 0;           ///< first live column in the buffer
   std::size_t metres_ = 0;         ///< live columns
   bool partial_ = false;           ///< pack_rows() left rows unpacked
+  std::uint64_t source_ = 0;    ///< id() of the mirrored trajectory (0: none)
+  std::uint64_t revision_ = 0;  ///< its revision() at the last sync
   QuantParams params_{};
   /// Channel-major cells, channels_ rows of stride_. Left uninitialized
   /// when allocated: only live columns are ever read, and every sync or

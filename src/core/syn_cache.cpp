@@ -168,10 +168,10 @@ void SynCache::find_into(const ContextTrajectory& local,
   // Sync packs; a fresh caller-shared ego pack wins over our own copy.
   const PackedContext* lp = local_pack;
   if (lp == nullptr || !lp->in_sync_with(local)) {
-    local_pack_.sync(local, config_.volatile_suffix_m);
+    local_pack_.sync(local);
     lp = &local_pack_;
   }
-  neighbour_pack_.sync(neighbour, config_.volatile_suffix_m);
+  neighbour_pack_.sync(neighbour);
 
   if (!config_.enabled || !locked_) {
     // Cold (or tracking disabled): full multi-offset search through the

@@ -30,9 +30,6 @@ struct SynCacheConfig {
   /// convoy at 2 Hz every estimate equals a full search (test_campaign's
   /// convoy × beacon case pins this).
   std::size_t verify_radius_m = 12;
-  /// Trailing region of each pack re-packed every sync (binder retro-fill
-  /// reach; see PackedContext).
-  std::size_t volatile_suffix_m = PackedContext::kDefaultVolatileSuffixM;
   /// When false every query runs the full search (packs are still reused).
   bool enabled = true;
 };

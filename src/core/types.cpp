@@ -1,6 +1,7 @@
 #include "core/types.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 namespace rups::core {
@@ -49,6 +50,11 @@ double PowerVector::mean_usable() const noexcept {
   return n ? sum / static_cast<double>(n) : 0.0;
 }
 
+std::uint64_t UniqueTag::next() noexcept {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 ContextTrajectory::ContextTrajectory(std::size_t channels,
                                      std::size_t capacity_m)
     : channels_(channels), capacity_(capacity_m) {
@@ -57,6 +63,7 @@ ContextTrajectory::ContextTrajectory(std::size_t channels,
   }
   geo_.reserve(capacity_m);
   power_.reserve(capacity_m);
+  stamps_.reserve(capacity_m);
 }
 
 void ContextTrajectory::append(GeoSample geo, PowerVector power) {
@@ -72,10 +79,12 @@ PowerVector ContextTrajectory::append_evict(GeoSample geo, PowerVector power) {
     evicted = std::move(power_.front());
     geo_.erase(geo_.begin());
     power_.erase(power_.begin());
+    stamps_.erase(stamps_.begin());
     ++first_seq_;
   }
   geo_.push_back(geo);
   power_.push_back(std::move(power));
+  stamps_.push_back(++revision_);
   return evicted;
 }
 

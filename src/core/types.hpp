@@ -70,10 +70,44 @@ struct GeoSample {
   double time_s = 0.0;
 };
 
+/// A process-unique tag no two objects share: a copy draws a fresh value,
+/// a move hands the value over and re-tags the source.
+class UniqueTag {
+ public:
+  UniqueTag() noexcept : value_(next()) {}
+  UniqueTag(const UniqueTag&) noexcept : value_(next()) {}
+  UniqueTag(UniqueTag&& other) noexcept : value_(other.value_) {
+    other.renew();
+  }
+  UniqueTag& operator=(const UniqueTag&) noexcept {
+    renew();
+    return *this;
+  }
+  UniqueTag& operator=(UniqueTag&& other) noexcept {
+    value_ = other.value_;
+    other.renew();
+    return *this;
+  }
+
+  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
+  void renew() noexcept { value_ = next(); }
+
+ private:
+  static std::uint64_t next() noexcept;
+  std::uint64_t value_;
+};
+
 /// The context-aware trajectory ST^m: a bounded, most-recent window of
 /// per-metre entries, each a GeoSample bound to a PowerVector. Entry
 /// distances are in the vehicle's OWN estimated odometer metres; index 0 is
 /// the oldest retained metre.
+///
+/// Every write bumps a trajectory-wide revision and stamps the written
+/// entry with it, so a reader that mirrored the trajectory at revision r
+/// (PackedContext) finds exactly the entries written since: those stamped
+/// after r. The revision counts writes of this object only; id() tells
+/// objects apart (a copy gets a new id, and so does rebase(), which
+/// re-indexes every entry).
 class ContextTrajectory {
  public:
   /// @param channels     width (number of plan channels)
@@ -98,8 +132,23 @@ class ContextTrajectory {
   [[nodiscard]] const PowerVector& power(std::size_t i) const {
     return power_[i];
   }
-  /// Mutable access (the binder retro-fills interpolated channels).
-  [[nodiscard]] PowerVector& mutable_power(std::size_t i) { return power_[i]; }
+  /// Write access to entry i (the binder retro-fills late and
+  /// interpolated channels). Stamps the entry as written, so inspect
+  /// through power() and call this only to write, and do not keep the
+  /// reference across a reader's sync.
+  [[nodiscard]] PowerVector& mutable_power(std::size_t i) {
+    stamps_[i] = ++revision_;
+    return power_[i];
+  }
+
+  /// Identity of this trajectory object (see UniqueTag).
+  [[nodiscard]] std::uint64_t id() const noexcept { return id_.value(); }
+  /// Number of writes so far: appends and mutable_power() calls.
+  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
+  /// Revision of the last write to entry i.
+  [[nodiscard]] std::uint64_t stamp(std::size_t i) const noexcept {
+    return stamps_[i];
+  }
 
   /// Estimated odometer distance (m) of entry i: metre marks are 1 m apart.
   [[nodiscard]] double distance_at(std::size_t i) const noexcept {
@@ -117,7 +166,10 @@ class ContextTrajectory {
 
   /// Re-base the odometer indexing so entry 0 sits at `first_metre`
   /// (used by the V2V codec to reconstruct the sender's indexing).
-  void rebase(std::uint64_t first_metre) noexcept { first_seq_ = first_metre; }
+  void rebase(std::uint64_t first_metre) noexcept {
+    first_seq_ = first_metre;
+    id_.renew();
+  }
 
   /// Index of the entry whose odometer metre is `metre`, if retained.
   [[nodiscard]] bool contains_metre(std::uint64_t metre) const noexcept {
@@ -145,6 +197,10 @@ class ContextTrajectory {
   std::uint64_t first_seq_ = 0;  ///< odometer metre index of entry 0
   std::vector<GeoSample> geo_;
   std::vector<PowerVector> power_;
+  /// stamps_[i]: revision of the last write to entry i.
+  std::vector<std::uint64_t> stamps_;
+  std::uint64_t revision_ = 0;
+  UniqueTag id_;
 };
 
 }  // namespace rups::core

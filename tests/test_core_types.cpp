@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 namespace rups::core {
 namespace {
 
@@ -107,6 +110,30 @@ TEST(ContextTrajectory, MutablePowerRetrofill) {
   traj.mutable_power(0).set(1, -55.0f);
   EXPECT_TRUE(traj.power(0).usable(1));
   EXPECT_FLOAT_EQ(traj.power(0).at(1), -55.0f);
+}
+
+TEST(ContextTrajectory, WritesStampEntriesAndIdsFollowTheObject) {
+  ContextTrajectory traj(2, 3);
+  for (int i = 0; i < 4; ++i) traj.append(GeoSample{}, PowerVector(2));
+  // Four appends, one eviction: each entry carries its append's revision.
+  EXPECT_EQ(traj.revision(), 4u);
+  EXPECT_EQ(traj.stamp(0), 2u);
+  EXPECT_EQ(traj.stamp(2), 4u);
+  traj.mutable_power(0).set(1, -55.0f);
+  EXPECT_EQ(traj.revision(), 5u);
+  EXPECT_EQ(traj.stamp(0), 5u);
+  EXPECT_EQ(traj.stamp(1), 3u);
+
+  // A copy is another trajectory; a move hands the identity over.
+  const std::uint64_t id = traj.id();
+  const ContextTrajectory copy = traj;
+  EXPECT_NE(copy.id(), id);
+  ContextTrajectory moved = std::move(traj);
+  EXPECT_EQ(moved.id(), id);
+  EXPECT_NE(traj.id(), id);  // the moved-from object is re-tagged
+  // Re-indexing every entry makes it another trajectory too.
+  moved.rebase(100);
+  EXPECT_NE(moved.id(), id);
 }
 
 TEST(PowerVector, ResetRecyclesToAllMissing) {

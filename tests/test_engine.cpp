@@ -8,7 +8,6 @@
 
 #include <cmath>
 
-#include "core/packed.hpp"
 #include "obs/metrics.hpp"
 #include "util/hash_noise.hpp"
 #include "util/rng.hpp"
@@ -36,39 +35,67 @@ RupsConfig test_config() {
 }
 
 /// Drives an engine over the synthetic road: constant speed, straight
-/// east, scanning all channels every `sweep_s`.
-void drive(RupsEngine& engine, double start_road_m, double distance_m,
-           double speed_mps, std::uint64_t noise_seed) {
-  util::Rng rng(noise_seed);
-  const double dt = 0.005;
-  const double duration = distance_m / speed_mps;
-  double next_obd = 0.0;
-  double next_dwell = 0.0;
-  std::size_t dwell_channel = 0;
-  for (double t = 0.0; t <= duration; t += dt) {
-    if (t >= next_obd) {
-      engine.on_speed({t, speed_mps});
-      next_obd += 2.0;
-    }
-    sensors::ImuSample imu;
-    imu.time_s = t;
-    imu.accel_mps2 = {0.0, 0.0, 9.80665};
-    imu.mag_ut = {-30.0, 0.0, -35.0};  // heading 0 (east)
-    engine.on_imu(imu);
-    while (t >= next_dwell) {
-      const double road_pos = start_road_m + speed_mps * next_dwell;
-      sensors::RssiMeasurement m;
-      m.time_s = next_dwell;
-      m.channel_index = dwell_channel;
-      m.rssi_dbm =
-          road_rssi(static_cast<std::int64_t>(std::floor(road_pos)),
-                    dwell_channel) +
-          rng.gaussian(0.0, 0.5);
-      engine.on_rssi(m);
-      dwell_channel = (dwell_channel + 1) % kChannels;
-      next_dwell += 0.015;
+/// east, dwelling on one channel every 15 ms (every channel once per
+/// sweep). advance() resumes where the previous call stopped.
+class RoadDrive {
+ public:
+  RoadDrive(double start_road_m, double speed_mps, std::uint64_t noise_seed)
+      : start_road_m_(start_road_m), speed_mps_(speed_mps), rng_(noise_seed) {}
+
+  /// Feed sensor samples up to drive time `until_s`.
+  void advance(RupsEngine& engine, double until_s) {
+    for (; t_ <= until_s; t_ += kDt) {
+      if (t_ >= next_obd_) {
+        engine.on_speed({t_, speed_mps_});
+        next_obd_ += 2.0;
+      }
+      sensors::ImuSample imu;
+      imu.time_s = t_;
+      imu.accel_mps2 = {0.0, 0.0, 9.80665};
+      imu.mag_ut = {-30.0, 0.0, -35.0};  // heading 0 (east)
+      engine.on_imu(imu);
+      while (t_ >= next_dwell_) {
+        if (dwell_channel_ != muted_channel) {
+          engine.on_rssi(dwell(next_dwell_, dwell_channel_));
+        }
+        dwell_channel_ = (dwell_channel_ + 1) % kChannels;
+        next_dwell_ += 0.015;
+      }
     }
   }
+
+  /// The dwell a scanner would report on `channel` at drive time `time_s`.
+  sensors::RssiMeasurement dwell(double time_s, std::size_t channel) {
+    const double road_pos = start_road_m_ + speed_mps_ * time_s;
+    sensors::RssiMeasurement m;
+    m.time_s = time_s;
+    m.channel_index = channel;
+    m.rssi_dbm = road_rssi(static_cast<std::int64_t>(std::floor(road_pos)),
+                           channel) +
+                 rng_.gaussian(0.0, 0.5);
+    return m;
+  }
+
+  [[nodiscard]] double time_s() const noexcept { return t_; }
+
+  /// A channel the scanner skips (kChannels: none).
+  std::size_t muted_channel = kChannels;
+
+ private:
+  static constexpr double kDt = 0.005;
+  double start_road_m_;
+  double speed_mps_;
+  util::Rng rng_;
+  double t_ = 0.0;
+  double next_obd_ = 0.0;
+  double next_dwell_ = 0.0;
+  std::size_t dwell_channel_ = 0;
+};
+
+void drive(RupsEngine& engine, double start_road_m, double distance_m,
+           double speed_mps, std::uint64_t noise_seed) {
+  RoadDrive(start_road_m, speed_mps, noise_seed)
+      .advance(engine, distance_m / speed_mps);
 }
 
 TEST(Engine, BuildsContextWhileDriving) {
@@ -175,8 +202,7 @@ TEST(Engine, EstimatePacksEachSideAtMostOncePerQuery) {
 #endif
   // A 5-SYN query runs ten slide passes; each side must be packed once for
   // all of them. The engine's own pack is synced incrementally, so a repeat
-  // query against an unchanged neighbour re-packs only the engine's
-  // volatile suffix (no growth in between) plus one full neighbour pack.
+  // query with no ingest in between packs only the neighbour.
   RupsConfig cfg = test_config();
   cfg.syn.syn_points = 5;
   cfg.syn.syn_segment_spacing_m = 20;
@@ -195,9 +221,56 @@ TEST(Engine, EstimatePacksEachSideAtMostOncePerQuery) {
 
   before = packed.value();
   ASSERT_TRUE(rear.estimate_distance(front.context()).has_value());
-  const std::uint64_t repeat = packed.value() - before;
-  EXPECT_GE(repeat, neighbour);
-  EXPECT_LE(repeat, neighbour + PackedContext::kDefaultVolatileSuffixM);
+  EXPECT_EQ(packed.value() - before, neighbour);
+}
+
+TEST(Engine, DeepLateWritesKeepOwnPackBitIdenticalToColdPack) {
+  // The binder writes a late dwell into any retained metre, and with a
+  // 120 m interpolation gap a scanner dropout is back-filled that deep
+  // too. The engine's incrementally synced pack must see every such write:
+  // at every metre its SYN points stay bit-identical to a seeker that packs
+  // both sides cold.
+  RupsConfig cfg = test_config();
+  cfg.binder.max_interpolation_gap_m = 120;
+  cfg.syn.syn_points = 5;
+  cfg.syn.syn_segment_spacing_m = 20;
+  RupsEngine rear(cfg);
+  RupsEngine front(cfg);
+  drive(front, 50.0, 450.0, 10.0, 16);
+  RoadDrive road(0.0, 10.0, 15);
+  road.advance(rear, 20.0);
+  const SynSeeker cold(cfg.syn);
+  std::size_t deep_writes = 0;
+  for (std::size_t step = 0; step < 200; ++step) {
+    // An 80 m dropout of channel 7, bridged once the channel returns.
+    road.muted_channel = step >= 20 && step < 100 ? 7 : kChannels;
+    // A late dwell 50-100 m behind the head (0.1 s per metre).
+    const std::size_t channel = step % kChannels;
+    if (channel != road.muted_channel) {
+      const double late_s = road.time_s() - 5.0 - 0.1 * (step % 51);
+      sensors::RssiMeasurement late = road.dwell(late_s, channel);
+      late.rssi_dbm += 1.5;
+      // A write turns an interpolated slot into a measured one.
+      const double measured = rear.context().measured_fraction();
+      rear.on_rssi(late);
+      deep_writes += rear.context().measured_fraction() != measured;
+    }
+    road.advance(rear, road.time_s() + 0.1);
+
+    const auto warm = rear.find_syn_points(front.context());
+    const auto fresh = cold.find(rear.context(), front.context());
+    ASSERT_EQ(warm.size(), fresh.size()) << "step " << step;
+    ASSERT_FALSE(warm.empty()) << "step " << step;
+    for (std::size_t k = 0; k < warm.size(); ++k) {
+      EXPECT_EQ(warm[k].index_a, fresh[k].index_a) << "step " << step;
+      EXPECT_EQ(warm[k].index_b, fresh[k].index_b) << "step " << step;
+      EXPECT_EQ(warm[k].window_m, fresh[k].window_m) << "step " << step;
+      ASSERT_EQ(warm[k].correlation, fresh[k].correlation)
+          << "step " << step << " syn " << k;
+    }
+  }
+  // Most late dwells land on an interpolated slot and overwrite it.
+  EXPECT_GT(deep_writes, 100u);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 // append-driven front eviction, one metre at a time — the §17 ingest
 // cadence — plus outliers that push the value range off the quantization
 // grid and back. At every step the incrementally-maintained int16 pack must
-// be bit-identical to a cold pack built from scratch; a stale
-// volatile-suffix repack, a mis-advanced eviction base or a missed
-// requantize shows up as a cell or grid mismatch.
+// be bit-identical to a cold pack built from scratch; a missed in-place
+// write, a mis-advanced eviction base or a missed requantize shows up as a
+// cell or grid mismatch.
 // Runs under ASan in the verify matrix, so buffer arithmetic bugs in the
 // compaction path fault loudly.
 
@@ -13,14 +13,16 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 
 #include "core/packed.hpp"
 #include "core/types.hpp"
+#include "pack_compare.hpp"
 #include "util/hash_noise.hpp"
 
 namespace rups {
 namespace {
+
+using core::testing::expect_pack_matches_cold;
 
 constexpr std::size_t kChannels = 16;
 constexpr std::size_t kCapacity = 64;
@@ -54,39 +56,15 @@ void retro_fill(core::ContextTrajectory& t, std::uint64_t step) {
   const std::size_t reach = std::min(t.size(), kRetroReach);
   for (std::size_t back = 1; back <= reach; ++back) {
     const std::size_t i = t.size() - back;
-    core::PowerVector& power = t.mutable_power(i);
     for (std::size_t c = 0; c < kChannels; ++c) {
-      if (power.usable(c)) continue;
+      // Inspect through power(): only the actual write stamps the entry.
+      if (t.power(i).usable(c)) continue;
       // Fill one hole per (step, entry) so changes KEEP arriving on old
       // columns long after they were first packed.
       if ((step + back + c) % 7 != 0) continue;
-      power.set(c, value_at(t.first_metre() + i, c, 1),
-                core::ChannelState::kInterpolated);
+      t.mutable_power(i).set(c, value_at(t.first_metre() + i, c, 1),
+                             core::ChannelState::kInterpolated);
       break;
-    }
-  }
-}
-
-void expect_pack_matches_cold(const core::PackedContext& incremental,
-                              const core::ContextTrajectory& t,
-                              std::uint64_t step) {
-  core::PackedContext cold;
-  (void)cold.sync(t);
-  const core::PackedSpan a = incremental.span();
-  const core::PackedSpan b = cold.span();
-  ASSERT_EQ(a.metres, b.metres) << "step " << step;
-  ASSERT_EQ(a.channels, b.channels) << "step " << step;
-  ASSERT_EQ(incremental.first_metre(), cold.first_metre()) << "step " << step;
-  // Bitwise grid comparison: a stale grid is usually a SMALL drift,
-  // exactly what tolerance-based checks miss.
-  ASSERT_EQ(std::memcmp(&a.params, &b.params, sizeof(a.params)), 0)
-      << "grid stale at step " << step;
-  for (std::size_t c = 0; c < a.channels; ++c) {
-    for (std::size_t m = 0; m < a.metres; ++m) {
-      ASSERT_EQ(a.q[c * a.stride + m], b.q[c * b.stride + m])
-          << "q stale at step " << step << " ch " << c << " m " << m;
-      ASSERT_EQ(a.v[c * a.stride + m], b.v[c * b.stride + m])
-          << "v stale at step " << step << " ch " << c << " m " << m;
     }
   }
 }
@@ -128,28 +106,33 @@ TEST(PackedStream, BurstGrowthBetweenSyncs) {
   }
 }
 
-TEST(PackedStream, RetroFillDeeperThanSuffixForcesDetectableRepack) {
-  // The incremental contract: sync()'s volatile suffix must cover the
-  // binder's retro-fill reach. Verify the guard holds exactly at the
-  // default reach (40 < kDefaultVolatileSuffixM == 48) even when eviction
-  // happens on the same sync.
-  static_assert(kRetroReach < core::PackedContext::kDefaultVolatileSuffixM,
-                "volatile suffix must cover binder retro-fill");
+TEST(PackedStream, InPlaceWritesAtEveryDepthStayBitIdenticalToColdPack) {
+  // The binder writes late dwells into ANY retained metre, and its
+  // interpolation gap is configurable, so writes can land at any depth.
+  // Every step writes one entry, sweeping every depth from the newest
+  // entry to the oldest, on the same sync as the append and eviction.
   core::ContextTrajectory t(kChannels, kCapacity);
   core::PackedContext pack;
-  for (std::uint64_t step = 0; step < 200; ++step) {
+  std::size_t oldest_writes = 0;
+  for (std::uint64_t step = 0; step < 400; ++step) {
     append_metre(t);
-    if (t.size() > kRetroReach) {
-      // Mutate the entry EXACTLY at the reach boundary every step.
-      core::PowerVector& power =
-          t.mutable_power(t.size() - kRetroReach);
-      power.set(static_cast<std::size_t>(step) % kChannels,
-                value_at(step, step % kChannels, 2),
-                core::ChannelState::kInterpolated);
+    // 37 is coprime to kCapacity: each run of kCapacity steps hits every
+    // depth once, on a different metre and with a fresh value each time.
+    const std::size_t back =
+        1 + static_cast<std::size_t>(step * 37) % kCapacity;
+    if (back <= t.size()) {
+      const std::size_t i = t.size() - back;
+      const std::size_t c = static_cast<std::size_t>(step) % kChannels;
+      t.mutable_power(i).set(
+          c, value_at(t.first_metre() + i, c, static_cast<std::uint32_t>(step)),
+          core::ChannelState::kInterpolated);
+      oldest_writes += i == 0;
     }
     (void)pack.sync(t);
+    ASSERT_TRUE(pack.in_sync_with(t)) << "step " << step;
     expect_pack_matches_cold(pack, t, step);
   }
+  EXPECT_GE(oldest_writes, 5u);
 }
 
 TEST(PackedStream, GridExitAndReturnStayBitIdenticalToColdPack) {

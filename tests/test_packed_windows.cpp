@@ -109,18 +109,69 @@ TEST(PackedContext, IncrementalAppendMatchesFreshPack) {
   }
 }
 
-TEST(PackedContext, RetroFillWithinVolatileSuffixIsRepacked) {
+TEST(PackedContext, RetroFillRepacksExactlyTheWrittenColumns) {
   auto t = drive(2, 0, 100, 16, 200, 11);
   PackedContext pack;
   pack.sync(t);
 
-  // Simulate the binder's retro-interpolation: rewrite RSSI in the last
-  // metres (within the volatile suffix), then sync again.
-  for (std::size_t back = 1; back <= 30; ++back) {
-    PowerVector& pv = t.mutable_power(t.size() - back);
-    pv.set(3, -70.0f - static_cast<float>(back));
+  // Simulate the binder's retro-interpolation: rewrite RSSI on 30 entries
+  // spread over the whole context, the oldest included, then sync again.
+  for (std::size_t k = 0; k < 30; ++k) {
+    PowerVector& pv = t.mutable_power(k * (t.size() - 1) / 29);
+    pv.set(3, pv.at(3) - 0.25f);
   }
+  const QuantParams before = pack.params();
+  const std::size_t packed = pack.sync(t);
+  EXPECT_EQ(packed, pack.params() == before ? 30u : t.size());
+  expect_pack_matches(pack, t);
+}
+
+TEST(PackedContext, SyncWithNothingWrittenPacksNothing) {
+  auto t = drive(2, 0, 100, 16, 200, 11);
+  PackedContext pack;
+  EXPECT_EQ(pack.sync(t), t.size());
+  EXPECT_EQ(pack.sync(t), 0u);
+  expect_pack_matches(pack, t);
+}
+
+TEST(PackedContext, OneInPlaceWriteRepacksOneColumn) {
+  auto t = drive(2, 0, 100, 16, 200, 11);
+  PackedContext pack;
   pack.sync(t);
+  const QuantParams grid = pack.params();
+  // In range (a copy of an existing value): the grid cannot move.
+  t.mutable_power(0).set(5, t.power(50).at(5));
+  // The write adds no metres, yet the pack no longer mirrors `t`.
+  EXPECT_FALSE(pack.in_sync_with(t));
+  EXPECT_EQ(pack.sync(t), 1u);
+  EXPECT_EQ(pack.params(), grid);
+  expect_pack_matches(pack, t);
+
+  // Out of range: the grid moves and every column is requantized.
+  t.mutable_power(40).set(5, -5.0f);
+  EXPECT_EQ(pack.sync(t), t.size());
+  EXPECT_FALSE(pack.params() == grid);
+  expect_pack_matches(pack, t);
+}
+
+TEST(PackedContext, EditedCopyNeverReusesStaleColumns) {
+  // A copy shares its source's stamps and revision but is another
+  // trajectory: a pack moving between the two must not trust either.
+  auto t = drive(2, 0, 100, 16, 200, 11);
+  ContextTrajectory copy = t;
+  copy.mutable_power(10).set(2, copy.power(60).at(2));
+  PackedContext pack;
+  pack.sync(t);
+  EXPECT_FALSE(pack.in_sync_with(copy));
+  EXPECT_EQ(pack.sync(copy), copy.size());
+  expect_pack_matches(pack, copy);
+
+  // Edit the source the same number of times: equal revisions, other
+  // entries. Back on the source, the pack must repack in full again.
+  t.mutable_power(20).set(2, t.power(70).at(2));
+  ASSERT_EQ(t.revision(), copy.revision());
+  EXPECT_FALSE(pack.in_sync_with(t));
+  EXPECT_EQ(pack.sync(t), t.size());
   expect_pack_matches(pack, t);
 }
 
@@ -159,9 +210,9 @@ TEST(PackedContext, GridExitRequantizesEveryColumn) {
   const QuantParams before = pack.params();
 
   // A metre that repeats an existing one keeps the value range, hence the
-  // grid: only the new column and the volatile suffix are re-packed.
+  // grid: only the new column is packed.
   t.append(GeoSample{}, PowerVector(t.power(0)));
-  EXPECT_EQ(pack.sync(t), 1 + PackedContext::kDefaultVolatileSuffixM);
+  EXPECT_EQ(pack.sync(t), 1u);
   EXPECT_EQ(pack.params(), before);
   expect_pack_matches(pack, t);
 
